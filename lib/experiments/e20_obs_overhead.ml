@@ -8,7 +8,7 @@
      jsonl             full JSONL export streaming to a file
      pcap              pcap export streaming to a file
 
-   The recorder rungs take the allocation-free [Trace.emit_*] fast path
+   The recorder rungs take the allocation-free [Trace.emit] ring path
    (no event construction at all); jsonl and pcap are full consumers, so
    they pay record/event allocation plus their own serialisation.  The
    ladder separates the price of *knowing* (recorder) from the price of

@@ -93,9 +93,7 @@ let own_address t =
 
 let record_encap t outer =
   t.encapsulated <- t.encapsulated + 1;
-  Trace.emit_encapsulate
-    (Net.trace (Net.node_net t.ch_node))
-    ~node:(Net.node_name t.ch_node) ~id:0 ~flow:0 ~pkt:outer
+  Net.trace_tunnel t.ch_node Trace.K_encapsulate ~flow:0 outer
 
 (* Route override: the CH-side delivery decision for every outgoing
    packet.  In-IE is "no decision": plain packets to the home address find
@@ -151,9 +149,7 @@ let intercept t ~flow (pkt : Ipv4_packet.t) =
     | None -> false
     | Some (_, inner) ->
         t.decapsulated <- t.decapsulated + 1;
-        Trace.emit_decapsulate
-          (Net.trace (Net.node_net t.ch_node))
-          ~node:(Net.node_name t.ch_node) ~id:0 ~flow ~pkt:inner;
+        Net.trace_tunnel t.ch_node Trace.K_decapsulate ~flow inner;
         Net.inject_local t.ch_node ~flow inner;
         true
 

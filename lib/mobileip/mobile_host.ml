@@ -154,9 +154,7 @@ let fresh_tunnel_ident t =
 
 let record_encap t outer =
   t.encapsulated <- t.encapsulated + 1;
-  Trace.emit_encapsulate
-    (Net.trace (Net.node_net t.mh_node))
-    ~node:(Net.node_name t.mh_node) ~id:0 ~flow:0 ~pkt:outer
+  Net.trace_tunnel t.mh_node Trace.K_encapsulate ~flow:0 outer
 
 (* The route-override hook: the mobility policy consulted before the
    routing table for every locally-originated packet. *)
@@ -233,9 +231,7 @@ let intercept t ~flow (pkt : Ipv4_packet.t) =
         | None -> false
         | Some (_, inner) ->
             t.decapsulated <- t.decapsulated + 1;
-            Trace.emit_decapsulate
-              (Net.trace (Net.node_net t.mh_node))
-              ~node:(Net.node_name t.mh_node) ~id:0 ~flow ~pkt:inner;
+            Net.trace_tunnel t.mh_node Trace.K_decapsulate ~flow inner;
             Net.inject_local t.mh_node ~flow inner;
             true)
 

@@ -501,36 +501,18 @@ let new_frame_id node =
     + sh.sh_idx + 1
   end
 
-let frame_info (f : frame) pkt : Trace.frame_info =
-  { Trace.id = f.fid; flow = f.flow; pkt }
+(* Placeholder for the [reason] of kinds that carry none. *)
+let no_reason = Trace.Custom ""
 
-let record node event =
-  Trace.record node.shard.sh_trace ~time:(Engine.now node.shard.sh_engine) event
-
-(* Checked before building any trace event: when false, the per-hop
-   fast path skips [frame_info]/event allocation entirely. *)
-let tracing node = Trace.interested node.shard.sh_trace
-
-(* Allocation-free tracing of the hottest per-hop events: when only fast
-   taps (the flight recorder) are listening, these skip the
-   frame_info/event/record graph that [record] builds.  [emit_*] are
-   self-gated and stamp the time from the engine's clock cell, so the
-   call sites below use them unguarded. *)
-let trace_send node (f : frame) pkt =
-  Trace.emit_send node.shard.sh_trace ~node:node.name ~id:f.fid ~flow:f.flow
-    ~pkt
-
-let trace_transmit node ~link (f : frame) pkt ~bytes =
-  Trace.emit_transmit node.shard.sh_trace ~link ~id:f.fid ~flow:f.flow ~pkt
-    ~bytes
-
-let trace_forward node ~in_iface ~out_iface (f : frame) pkt =
-  Trace.emit_forward node.shard.sh_trace ~node:node.name ~in_iface ~out_iface
-    ~id:f.fid ~flow:f.flow ~pkt
-
-let trace_deliver node (f : frame) pkt =
-  Trace.emit_deliver node.shard.sh_trace ~node:node.name ~id:f.fid
-    ~flow:f.flow ~pkt
+(* Every traced event goes through [Trace.emit] into the node's shard
+   trace, stamped from the shard engine's clock.  [emit] is self-gated
+   (no event is built unless a function consumer or the log wants it),
+   so call sites use it unguarded.  This covers the events named by the
+   node; transmits (named by their link) and forwards (which carry
+   interfaces) call [Trace.emit] with those fields. *)
+let trace_event node kind reason ~id ~flow pkt =
+  Trace.emit node.shard.sh_trace kind ~name:node.name ~in_iface:""
+    ~out_iface:"" ~reason ~bytes:0 ~id ~flow pkt
 
 let same_segment a b =
   List.exists
@@ -573,23 +555,19 @@ and emit out frame =
         | Ptp l -> l.ptp_name
         | Detached -> "detached"
       in
-      trace_transmit node ~link:link_name frame pkt ~bytes
+      Trace.emit node.shard.sh_trace Trace.K_transmit ~name:link_name
+        ~in_iface:"" ~out_iface:"" ~reason:no_reason ~bytes ~id:frame.fid
+        ~flow:frame.flow pkt
   | Arp_msg _ -> ());
   match out.attachment with
   | Detached -> (
       match frame.content with
       | Ip pkt ->
-          if tracing node then
-            record node
-            (Trace.Drop
-               {
-                 node = node.name;
-                 reason = Trace.Link_down;
-                 frame = frame_info frame pkt;
-               })
+          trace_event node Trace.K_drop Trace.Link_down ~id:frame.fid
+            ~flow:frame.flow pkt
       | Arp_msg _ -> ())
   | Ptp l ->
-      if loss_roll l.ptp_loss then record_link_loss node frame
+      if loss_roll l.ptp_loss then trace_drop node Trace.Link_loss frame
       else begin
         let delay =
           link_delay ~latency:l.ptp_latency ~bandwidth:l.ptp_bandwidth bytes
@@ -600,7 +578,7 @@ and emit out frame =
           peers
       end
   | Seg s ->
-      if loss_roll s.seg_loss then record_link_loss node frame
+      if loss_roll s.seg_loss then trace_drop node Trace.Link_loss frame
       else begin
         let delay =
           link_delay ~latency:s.seg_latency ~bandwidth:s.seg_bandwidth bytes
@@ -643,21 +621,16 @@ and fault_deliver node ~link ~delay target frame =
   | Some hook -> (
       match hook ~link ~src:node.name ~dst:target.owner.name with
       | Fault_pass -> schedule delay
-      | Fault_drop reason -> record_fault_drop node reason frame
+      | Fault_drop reason -> trace_drop node reason frame
       | Fault_deliver { extra_delay; duplicate } ->
           schedule (delay +. extra_delay);
           if duplicate then schedule (delay +. extra_delay))
 
-and record_fault_drop node reason frame =
+and trace_drop node reason frame =
   match frame.content with
   | Ip pkt ->
-      if tracing node then
-        record node
-        (Trace.Drop
-           { node = node.name; reason; frame = frame_info frame pkt })
+      trace_event node Trace.K_drop reason ~id:frame.fid ~flow:frame.flow pkt
   | Arp_msg _ -> ()
-
-and record_link_loss node frame = record_fault_drop node Trace.Link_loss frame
 
 and push_xshard t src dst ~at target frame =
   let ob = t.outboxes.(src.sh_idx).(dst.sh_idx) in
@@ -694,14 +667,8 @@ and arp_request_retry out next_hop =
         (fun (_, frame) ->
           match frame.content with
           | Ip pkt ->
-              (if tracing node then
-                 record node
-                   (Trace.Drop
-                      {
-                        node = node.name;
-                        reason = Trace.Arp_unresolved;
-                        frame = frame_info frame pkt;
-                      }));
+              trace_event node Trace.K_drop Trace.Arp_unresolved
+                ~id:frame.fid ~flow:frame.flow pkt;
               (* Dead next hop: three unanswered ARP requests.  Signal the
                  sender rather than black-holing the queued packets. *)
               send_icmp_error node ~reason:Trace.Arp_unresolved
@@ -753,27 +720,14 @@ and arp_input iface frame arp =
           { op = `Reply; spa = arp.tpa; sha = iface.mac; tpa = arp.spa }
 
 and ip_output node ~out ~next_hop ?l2_dst ~flow ?(csum = -1) pkt =
-  if not out.up then begin
-    let f =
-      { fid = new_frame_id node; flow; content = Ip pkt;
-        l2_src = out.mac; l2_dst = Mac_addr.broadcast; csum }
-    in
-    if tracing node then
-      record node
-      (Trace.Drop
-         { node = node.name; reason = Trace.Link_down; frame = frame_info f pkt })
-  end
+  if not out.up then
+    trace_event node Trace.K_drop Trace.Link_down ~id:(new_frame_id node) ~flow
+      pkt
   else
     match Fragment.fragment ~mtu:out.mtu pkt with
     | Error _ ->
-        let f =
-          { fid = new_frame_id node; flow; content = Ip pkt;
-            l2_src = out.mac; l2_dst = Mac_addr.broadcast; csum }
-        in
-        if tracing node then
-          record node
-          (Trace.Drop
-             { node = node.name; reason = Trace.Mtu_exceeded; frame = frame_info f pkt });
+        trace_event node Trace.K_drop Trace.Mtu_exceeded
+          ~id:(new_frame_id node) ~flow pkt;
         (* RFC 1191-style feedback so senders can adapt. *)
         if pkt.Ipv4_packet.protocol <> Ipv4_packet.P_icmp then begin
           let context = Bytes.create 0 in
@@ -826,10 +780,7 @@ and ip_input iface frame pkt =
   let node = iface.owner in
   match Filter.evaluate node.policy ~in_iface:iface.ifname pkt with
   | Filter.Reject reason ->
-      (if tracing node then
-         record node
-           (Trace.Drop
-              { node = node.name; reason; frame = frame_info frame pkt }));
+      trace_event node Trace.K_drop reason ~id:frame.fid ~flow:frame.flow pkt;
       (* §7.1.2: a filtering router that signals its refusal lets the
          sender adapt its delivery method instead of timing out. *)
       send_icmp_error node ~reason ~code:Icmp_wire.Admin_prohibited
@@ -848,10 +799,8 @@ and ip_input iface frame pkt =
       then (* not joined / not ours: ignore silently *) ()
       else if node.router then forward node iface frame pkt
       else
-        if tracing node then
-          record node
-          (Trace.Drop
-             { node = node.name; reason = Trace.Not_for_me; frame = frame_info frame pkt })
+        trace_event node Trace.K_drop Trace.Not_for_me ~id:frame.fid
+          ~flow:frame.flow pkt
 
 and deliver node in_iface frame pkt =
   match Fragment.Reassembly.add node.reasm ~now:(Engine.now node.shard.sh_engine) pkt with
@@ -869,15 +818,9 @@ and deliver node in_iface frame pkt =
               let rerouted =
                 { whole with Ipv4_packet.dst = next; options }
               in
-              if tracing node then
-                record node
-                (Trace.Forward
-                   {
-                     node = node.name;
-                     in_iface = "lsr";
-                     out_iface = "lsr";
-                     frame = frame_info frame rerouted;
-                   });
+              Trace.emit node.shard.sh_trace Trace.K_forward ~name:node.name
+                ~in_iface:"lsr" ~out_iface:"lsr" ~reason:no_reason ~bytes:0
+                ~id:frame.fid ~flow:frame.flow rerouted;
               originate node ~flow:frame.flow rerouted
           | None -> ())
       | None -> deliver_local node in_iface frame whole)
@@ -893,7 +836,8 @@ and deliver_local node in_iface frame whole =
         | None -> false
       in
       if not consumed then begin
-        trace_deliver node frame whole;
+        trace_event node Trace.K_deliver no_reason ~id:frame.fid
+          ~flow:frame.flow whole;
         (match node.observer with Some f -> f whole | None -> ());
         let proto = Ipv4_packet.protocol_to_int whole.Ipv4_packet.protocol in
         match Addr_map.find node.handlers proto with
@@ -904,10 +848,8 @@ and deliver_local node in_iface frame whole =
 and forward node in_iface frame pkt =
   match Ipv4_packet.decrement_ttl pkt with
   | None ->
-      if tracing node then
-        record node
-        (Trace.Drop
-           { node = node.name; reason = Trace.Ttl_expired; frame = frame_info frame pkt })
+      trace_event node Trace.K_drop Trace.Ttl_expired ~id:frame.fid
+        ~flow:frame.flow pkt
   | Some pkt ->
       forward_routed node in_iface frame
         ~csum:
@@ -939,26 +881,21 @@ and forward node in_iface frame pkt =
 and forward_routed node in_iface frame ~csum pkt =
   (match Routing.lookup node.table pkt.Ipv4_packet.dst with
       | None ->
-          (if tracing node then
-             record node
-               (Trace.Drop
-                  { node = node.name; reason = Trace.No_route;
-                    frame = frame_info frame pkt }));
+          trace_event node Trace.K_drop Trace.No_route ~id:frame.fid
+            ~flow:frame.flow pkt;
           send_icmp_error node ~reason:Trace.No_route
             ~code:Icmp_wire.Host_unreachable ~src:in_iface.addr pkt
       | Some route -> (
           match find_iface node route.Routing.iface with
           | None ->
-              (if tracing node then
-                 record node
-                   (Trace.Drop
-                      { node = node.name; reason = Trace.No_route;
-                        frame = frame_info frame pkt }));
+              trace_event node Trace.K_drop Trace.No_route ~id:frame.fid
+                ~flow:frame.flow pkt;
               send_icmp_error node ~reason:Trace.No_route
                 ~code:Icmp_wire.Host_unreachable ~src:in_iface.addr pkt
           | Some out ->
-              trace_forward node ~in_iface:in_iface.ifname
-                ~out_iface:out.ifname frame pkt;
+              Trace.emit node.shard.sh_trace Trace.K_forward ~name:node.name
+                ~in_iface:in_iface.ifname ~out_iface:out.ifname
+                ~reason:no_reason ~bytes:0 ~id:frame.fid ~flow:frame.flow pkt;
               let next_hop =
                 match route.Routing.gateway with
                 | Some g -> g
@@ -1015,14 +952,7 @@ and send_icmp_error node ~reason ~code ~src pkt =
               (Ipv4_packet.Icmp icmp)
           in
           let flow = new_flow_on node in
-          if tracing node then
-            record node
-              (Trace.Icmp_error
-                 {
-                   node = node.name;
-                   reason;
-                   frame = { Trace.id = 0; flow; pkt = reply };
-                 });
+          trace_event node Trace.K_icmp_error reason ~id:0 ~flow reply;
           originate node ~flow reply
         end
       end
@@ -1048,7 +978,7 @@ and originate ?(depth = 0) node ~flow ?via ?l2_dst pkt =
     let emit_via out ~next_hop ?l2_dst pkt =
       let pkt = fill_src out pkt in
       let f = fake_frame pkt in
-      trace_send node f pkt;
+      trace_event node Trace.K_send no_reason ~id:f.fid ~flow pkt;
       ip_output node ~out ~next_hop ?l2_dst ~flow ~csum:f.csum pkt
     in
     if owns_address node pkt.Ipv4_packet.dst then begin
@@ -1059,7 +989,7 @@ and originate ?(depth = 0) node ~flow ?via ?l2_dst pkt =
         else pkt
       in
       let f = fake_frame pkt in
-      trace_send node f pkt;
+      trace_event node Trace.K_send no_reason ~id:f.fid ~flow pkt;
       deliver node None f pkt
     end
     else begin
@@ -1076,15 +1006,8 @@ and originate ?(depth = 0) node ~flow ?via ?l2_dst pkt =
       | Some (Resubmit pkt') ->
           originate ~depth:(depth + 1) node ~flow ?via ?l2_dst pkt'
       | Some (Discard reason) ->
-          let f = fake_frame pkt in
-          if tracing node then
-            record node
-            (Trace.Drop
-               {
-                 node = node.name;
-                 reason = Trace.Custom reason;
-                 frame = frame_info f pkt;
-               })
+          trace_event node Trace.K_drop (Trace.Custom reason)
+            ~id:(new_frame_id node) ~flow pkt
       | Some (Via { out; next_hop; l2_dst = forced_l2 }) ->
           let next_hop = Option.value next_hop ~default:pkt.Ipv4_packet.dst in
           emit_via out ~next_hop ?l2_dst:forced_l2 pkt
@@ -1094,27 +1017,13 @@ and originate ?(depth = 0) node ~flow ?via ?l2_dst pkt =
           | None -> (
               match Routing.lookup node.table pkt.Ipv4_packet.dst with
               | None ->
-                  let f = fake_frame pkt in
-                  if tracing node then
-                    record node
-                    (Trace.Drop
-                       {
-                         node = node.name;
-                         reason = Trace.No_route;
-                         frame = frame_info f pkt;
-                       })
+                  trace_event node Trace.K_drop Trace.No_route
+                    ~id:(new_frame_id node) ~flow pkt
               | Some route -> (
                   match find_iface node route.Routing.iface with
                   | None ->
-                      let f = fake_frame pkt in
-                      if tracing node then
-                        record node
-                        (Trace.Drop
-                           {
-                             node = node.name;
-                             reason = Trace.No_route;
-                             frame = frame_info f pkt;
-                           })
+                      trace_event node Trace.K_drop Trace.No_route
+                        ~id:(new_frame_id node) ~flow pkt
                   | Some out ->
                       let next_hop =
                         match route.Routing.gateway with
@@ -1130,14 +1039,15 @@ let send node ?flow ?via ?l2_dst pkt =
   originate node ~flow ?via ?l2_dst pkt;
   flow
 
+let trace_tunnel node kind ~flow pkt =
+  trace_event node kind no_reason ~id:0 ~flow pkt
+
 let inject_local node ~flow pkt =
   let frame =
     { fid = new_frame_id node; flow; content = Ip pkt;
       l2_src = Mac_addr.broadcast; l2_dst = Mac_addr.broadcast; csum = -1 }
   in
-  if tracing node then
-    record node
-      (Trace.Deliver { node = node.name; frame = frame_info frame pkt });
+  trace_event node Trace.K_deliver no_reason ~id:frame.fid ~flow pkt;
   (match node.observer with Some f -> f pkt | None -> ());
   let proto = Ipv4_packet.protocol_to_int pkt.Ipv4_packet.protocol in
   (match Addr_map.find node.handlers proto with

@@ -39,7 +39,7 @@ val set_tracing : t -> bool -> unit
 (** [set_tracing t false] turns off per-packet tracing for this world
     ({!Trace.set_enabled} on its trace): the data plane stops building
     trace events, so throughput runs skip all per-hop record allocation.
-    An installed {!Trace.set_observer} or {!Trace.set_sink} overrides the
+    An installed trace consumer (observer, sink or ring) overrides the
     switch — oracle and [--trace-json] runs see identical events either
     way.  Default on. *)
 
@@ -251,6 +251,13 @@ val inject_local :
     observer, protocol handler) — used to hand a decapsulated inner packet
     back to the stack.  The intercept hook is {e not} consulted, so a node
     that both captures and decapsulates cannot loop. *)
+
+val trace_tunnel : node -> Trace.kind -> flow:int -> Ipv4_packet.t -> unit
+(** Trace a tunnel endpoint's work at [node]: [Trace.K_encapsulate] with
+    the new outer packet, or [Trace.K_decapsulate] with the revealed
+    inner one (frame id 0).  The event goes into the node's shard trace,
+    stamped with {!node_now}, so parallel sharded runs merge it in the
+    same place an unsharded run records it. *)
 
 (** {1 ARP} *)
 

@@ -51,89 +51,34 @@ type event =
 
 type record = { time : float; event : event }
 
-(* Per-flow index: the flow's records (newest first) plus running counters,
-   so the flow queries below are O(flow) or O(1) instead of re-walking (and
-   re-reversing) the whole log on every call. *)
-type flow_entry = {
-  mutable f_rev_records : record list;
-  mutable f_transmissions : int;
-  mutable f_wire_bytes : int;
-}
+(* Event kinds, numbered in declaration order of [event].  A constant
+   constructor is represented by its index, which is the tag a ring
+   packs into a slot header. *)
+type kind =
+  | K_send
+  | K_transmit
+  | K_forward
+  | K_drop
+  | K_deliver
+  | K_encapsulate
+  | K_decapsulate
+  | K_icmp_error
 
-type t = {
-  mutable rev_records : record list;
-  mutable count : int;
-  by_flow : (int, flow_entry) Hashtbl.t;
-  mutable observers : (int * (record -> unit)) list;
-      (* per-trace taps (invariant oracle, flight recorder...), in
-         installation order; independent of the process-wide sinks below *)
-  mutable obs_fns : (record -> unit) array;
-      (* flattened copy of [observers] for allocation-free dispatch *)
-  mutable legacy_observer : int option;
-      (* the handle [set_observer] manages, so the optional-argument API
-         keeps its replace-in-place semantics on top of the tee *)
-  mutable enabled : bool;
-  mutable buffered : bool;
-      (* quarantine mode for per-shard traces in parallel runs: [record]
-         only appends to the in-memory log — no observers, no process-wide
-         sinks, no rings, no per-flow index — so a shard's domain never
-         touches shared state.  The barrier coordinator [drain]s the log
-         and replays it through the main trace, which feeds every consumer
-         in deterministic merged order. *)
-  mutable local_on : bool;
-      (* cached [enabled || observers present] — see [sink_on] *)
-  mutable time_source : floatarray;
-      (* where [emit_*] read the current time — the owning net points
-         this at its engine's clock cell, so the fast path gets the
-         timestamp with one unboxed load instead of an accessor call
-         and a boxed float per event *)
-      (* when false and no observer or sink is installed, [interested] is
-         false and the data plane skips event construction entirely *)
-}
+let kind_tag (k : kind) : int = Obj.magic k
 
-type observer = int
-type sink = int
-
-(* Process-wide taps, fed every record from every trace as it is written.
-   This is how the CLI streams JSONL telemetry (or a pcap) out of code
-   that builds its own worlds internally (e.g. the experiment runners).
-   Sinks compose: [--trace-json], [--pcap] and a flight recorder can all
-   be installed at once. *)
-let sink_seq = ref 0
-let sinks : (int * (record -> unit)) list ref = ref []
-let sink_fns : (record -> unit) array ref = ref [||]
-
-let sink_on = ref false
-(* cached [Array.length !sink_fns > 0]: the emit fast path tests
-   full-consumer interest once per packet event, so it reads two cached
-   booleans instead of recomputing three array lengths *)
-
-let rebuild_sinks () =
-  sink_fns := Array.of_list (List.map snd !sinks);
-  sink_on := Array.length !sink_fns > 0
-
-let add_sink f =
-  incr sink_seq;
-  let id = !sink_seq in
-  sinks := !sinks @ [ (id, f) ];
-  rebuild_sinks ();
-  id
-
-let remove_sink id =
-  sinks := List.filter (fun (i, _) -> i <> id) !sinks;
-  rebuild_sinks ()
-
-(* Back-compat single-slot facade: [set_sink (Some f)] replaces whatever
-   it installed last time but leaves other sinks alone. *)
-let legacy_sink = ref None
-
-let set_sink f =
-  (match !legacy_sink with
-  | Some id ->
-      remove_sink id;
-      legacy_sink := None
-  | None -> ());
-  match f with Some f -> legacy_sink := Some (add_sink f) | None -> ()
+(* The one constructor of events from their fields: the emit slow path
+   and the ring's cold rebuild share it.  Fields a kind does not carry
+   are ignored. *)
+let event_of_kind kind ~name ~in_iface ~out_iface ~reason ~bytes frame =
+  match kind with
+  | K_send -> Send { node = name; frame }
+  | K_transmit -> Transmit { link = name; frame; bytes }
+  | K_forward -> Forward { node = name; in_iface; out_iface; frame }
+  | K_drop -> Drop { node = name; reason; frame }
+  | K_deliver -> Deliver { node = name; frame }
+  | K_encapsulate -> Encapsulate { node = name; frame }
+  | K_decapsulate -> Decapsulate { node = name; frame }
+  | K_icmp_error -> Icmp_error { node = name; reason; frame }
 
 (* Flight-recorder rings: allocation-free last-K event capture on the
    capacity fast path.
@@ -144,36 +89,24 @@ let set_sink f =
    next minor collection, be promoted to the major heap, and die there,
    turning the whole event stream into major-GC churn (measured at ~50%
    of packets/sec on the E20 overhead ladder, against <10% for this
-   layout).  Instead [ring_store] explodes each event into preallocated
-   scalar arrays — time, frame id/flow, every IPv4 header field plus the
-   event kind and protocol packed into one int ([pack layout] below) —
-   and keeps only two pointers per slot: the packet's payload and
-   options, which are shared across all events of a datagram's journey,
-   so the amortised retention per event is a few words.
+   layout).  Instead [ring_store_cell] explodes each event into
+   preallocated scalar arrays — time, frame id/flow, every IPv4 header
+   field plus the event kind and protocol packed into one int ([pack
+   layout] below) — and keeps only two pointers per slot: the packet's
+   payload and options, which are shared across all events of a
+   datagram's journey, so the amortised retention per event is a few
+   words.
 
    The storage primitive lives here rather than in the observability
-   layer so the emit fast path below can reach it with a direct call
-   (floats unboxed, no closure dispatch), and so packing and unpacking
-   sit next to each other.  [Netobs.Recorder] wraps a ring with the
-   user-facing capture API.
+   layer so [emit] below can reach it with a direct call (floats
+   unboxed, no closure dispatch), and so packing and unpacking sit next
+   to each other.  [Netobs.Recorder] wraps a ring with the user-facing
+   capture API.
 
-   Events that go through [record] (full consumers attached, or an emit
-   site with no specialised [emit_*] helper) are replayed into attached
-   rings by destructuring, so a ring sees every event exactly once
-   either way. *)
+   Records that go through [record] (full consumers attached, or merged
+   shard traces) are replayed into attached rings by destructuring, so
+   a ring sees every event exactly once either way. *)
 
-(* Event kind tags, numbered in declaration order of [event]. *)
-let k_send = 0
-
-let k_transmit = 1
-let k_forward = 2
-let k_drop = 3
-let k_deliver = 4
-let k_encapsulate = 5
-let k_decapsulate = 6
-let k_icmp_error = 7
-
-let no_iface = ""
 let no_reason = Ttl_expired
 let no_options = Bytes.create 0
 let no_payload = Ipv4_packet.Raw no_options
@@ -209,7 +142,7 @@ type ring = {
      the payload is the only per-event pointer store. *)
   a_time : float array;
   ring_scratch : floatarray;
-      (* staging cell for the boxed-float [ring_store] entry *)
+      (* staging cell for [ring_store_record], which holds a boxed time *)
   a_scalar : int array;
   a_payload : Obj.t array;
   a_reason : drop_reason array;  (* drop / icmp-error only *)
@@ -374,7 +307,7 @@ let ring_store_cell rg (time_cell : floatarray) kind name in_if out_if reason
   then begin
     let i = rg.ring_next in
     if pkt != rg.m_pkt then ring_repack rg pkt;
-    let h = rg.m_hdr lor (kind lsl 37) in
+    let h = rg.m_hdr lor (kind_tag kind lsl 37) in
     let s = rg.a_scalar and sb = i lsl 3 in
     Array.unsafe_set s sb h;
     Array.unsafe_set s (sb + 1) rg.m_src;
@@ -387,21 +320,14 @@ let ring_store_cell rg (time_cell : floatarray) kind name in_if out_if reason
     Array.unsafe_set rg.a_payload i (Obj.repr pkt.Ipv4_packet.payload);
     if h land bit_opts <> 0 then
       Array.unsafe_set rg.a_options i pkt.Ipv4_packet.options;
-    if kind = k_forward then
+    if kind == K_forward then
       Array.unsafe_set s (sb + 7)
         ((name_id rg in_if lsl 20) lor name_id rg out_if)
-    else if kind = k_drop || kind = k_icmp_error then
+    else if kind == K_drop || kind == K_icmp_error then
       Array.unsafe_set rg.a_reason i reason;
     rg.ring_next <- (if i + 1 = rg.ring_capacity then 0 else i + 1);
     rg.ring_kept <- rg.ring_kept + 1
   end
-
-(* Boxed-float convenience entry for replay and [Recorder.note], where
-   the caller holds a [float] (already boxed) rather than a clock cell. *)
-let ring_store rg time kind name in_if out_if reason id flow pkt bytes =
-  Float.Array.unsafe_set rg.ring_scratch 0 time;
-  ring_store_cell rg rg.ring_scratch kind name in_if out_if reason id flow pkt
-    bytes
 
 let ring_clear rg =
   Array.fill rg.a_payload 0 rg.ring_capacity (Obj.repr no_payload);
@@ -416,7 +342,7 @@ let ring_clear rg =
 
 (* Cold path: rebuild a structurally identical record from a slot.  The
    pointer-lane reads are typed by the fixed per-offset discipline of
-   [ring_store]. *)
+   [ring_store_cell]. *)
 let ring_record_at rg i =
   let sb = i lsl 3 in
   let h = rg.a_scalar.(sb) in
@@ -438,25 +364,17 @@ let ring_record_at rg i =
     }
   in
   let frame = { id = rg.a_scalar.(sb + 3); flow = rg.a_scalar.(sb + 4); pkt } in
-  let name : string = Obj.obj rg.i_names.(rg.a_scalar.(sb + 6)) in
+  let interned j : string = Obj.obj rg.i_names.(j) in
+  let kind : kind = Obj.magic ((h lsr 37) land 0x7) in
+  (* the iface and reason lanes are stale for kinds that do not write
+     them; [event_of_kind] ignores what a kind does not carry *)
+  let w = if kind == K_forward then rg.a_scalar.(sb + 7) else 0 in
   let event =
-    match (h lsr 37) land 0x7 with
-    | 0 -> Send { node = name; frame }
-    | 1 -> Transmit { link = name; frame; bytes = rg.a_scalar.(sb + 5) }
-    | 2 ->
-        let w = rg.a_scalar.(sb + 7) in
-        Forward
-          {
-            node = name;
-            in_iface = (Obj.obj rg.i_names.(w lsr 20) : string);
-            out_iface = (Obj.obj rg.i_names.(w land 0xFFFFF) : string);
-            frame;
-          }
-    | 3 -> Drop { node = name; reason = rg.a_reason.(i); frame }
-    | 4 -> Deliver { node = name; frame }
-    | 5 -> Encapsulate { node = name; frame }
-    | 6 -> Decapsulate { node = name; frame }
-    | _ -> Icmp_error { node = name; reason = rg.a_reason.(i); frame }
+    event_of_kind kind
+      ~name:(interned rg.a_scalar.(sb + 6))
+      ~in_iface:(interned (w lsr 20))
+      ~out_iface:(interned (w land 0xFFFFF))
+      ~reason:rg.a_reason.(i) ~bytes:rg.a_scalar.(sb + 5) frame
   in
   { time = rg.a_time.(i); event }
 
@@ -466,58 +384,113 @@ let ring_records rg =
   List.init n (fun i -> ring_record_at rg ((start + i) mod rg.ring_capacity))
 
 let ring_store_record rg (r : record) =
-  let time = r.time in
+  let cell = rg.ring_scratch in
+  Float.Array.unsafe_set cell 0 r.time;
   match r.event with
   | Send { node; frame = f } ->
-      ring_store rg time k_send node no_iface no_iface no_reason f.id f.flow
-        f.pkt 0
+      ring_store_cell rg cell K_send node "" "" no_reason f.id f.flow f.pkt 0
   | Transmit { link; frame = f; bytes } ->
-      ring_store rg time k_transmit link no_iface no_iface no_reason f.id
-        f.flow f.pkt bytes
+      ring_store_cell rg cell K_transmit link "" "" no_reason f.id f.flow f.pkt
+        bytes
   | Forward { node; in_iface; out_iface; frame = f } ->
-      ring_store rg time k_forward node in_iface out_iface no_reason f.id
+      ring_store_cell rg cell K_forward node in_iface out_iface no_reason f.id
         f.flow f.pkt 0
   | Drop { node; reason; frame = f } ->
-      ring_store rg time k_drop node no_iface no_iface reason f.id f.flow
-        f.pkt 0
+      ring_store_cell rg cell K_drop node "" "" reason f.id f.flow f.pkt 0
   | Deliver { node; frame = f } ->
-      ring_store rg time k_deliver node no_iface no_iface no_reason f.id
-        f.flow f.pkt 0
+      ring_store_cell rg cell K_deliver node "" "" no_reason f.id f.flow f.pkt 0
   | Encapsulate { node; frame = f } ->
-      ring_store rg time k_encapsulate node no_iface no_iface no_reason f.id
-        f.flow f.pkt 0
+      ring_store_cell rg cell K_encapsulate node "" "" no_reason f.id f.flow
+        f.pkt 0
   | Decapsulate { node; frame = f } ->
-      ring_store rg time k_decapsulate node no_iface no_iface no_reason f.id
-        f.flow f.pkt 0
+      ring_store_cell rg cell K_decapsulate node "" "" no_reason f.id f.flow
+        f.pkt 0
   | Icmp_error { node; reason; frame = f } ->
-      ring_store rg time k_icmp_error node no_iface no_iface reason f.id
-        f.flow f.pkt 0
+      ring_store_cell rg cell K_icmp_error node "" "" reason f.id f.flow f.pkt 0
 
-(* Attached rings, process-wide like sinks.  Usually zero or one. *)
-let ring_list : ring list ref = ref []
+(* Consumers.  Every trace has its own set (the observers) and one
+   process-wide set holds the sinks and the attached rings — how the
+   CLI streams JSONL (or a pcap) out of worlds the experiment runners
+   build internally.  A set keeps its entries in installation order plus
+   flattened copies for allocation-free dispatch, and cached flags so
+   the emit fast path tests interest with two boolean loads. *)
+type consumer = Fn of (record -> unit) | Ring of ring
 
-let ring_arr : ring array ref = ref [||]
+type consumers = {
+  mutable entries : (int * consumer) list;
+  mutable fns : (record -> unit) array;
+  mutable rings : ring array;
+  mutable fn_on : bool;  (* [fns] is non-empty *)
+  mutable ring_on : bool;  (* [rings] is non-empty *)
+}
 
-let attach_ring rg =
-  if not (List.memq rg !ring_list) then begin
-    ring_list := !ring_list @ [ rg ];
-    ring_arr := Array.of_list !ring_list
-  end
+type observer = int
+type sink = int
 
-let detach_ring rg =
-  ring_list := List.filter (fun r -> r != rg) !ring_list;
-  ring_arr := Array.of_list !ring_list
+let consumers () =
+  { entries = []; fns = [||]; rings = [||]; fn_on = false; ring_on = false }
 
-let ring_attached rg = List.memq rg !ring_list
+let process = consumers ()
+let consumer_seq = ref 0
+
+let rebuild s =
+  let fns = List.filter_map (function _, Fn f -> Some f | _ -> None) in
+  let rings = List.filter_map (function _, Ring r -> Some r | _ -> None) in
+  s.fns <- Array.of_list (fns s.entries);
+  s.rings <- Array.of_list (rings s.entries);
+  s.fn_on <- Array.length s.fns > 0;
+  s.ring_on <- Array.length s.rings > 0
+
+let add s c =
+  incr consumer_seq;
+  s.entries <- s.entries @ [ (!consumer_seq, c) ];
+  rebuild s;
+  !consumer_seq
+
+let remove s id =
+  s.entries <- List.filter (fun (i, _) -> i <> id) s.entries;
+  rebuild s
+
+let add_sink f = add process (Fn f)
+let remove_sink id = remove process id
+let attach_ring rg = add process (Ring rg)
+
+(* Per-flow index: the flow's records (newest first) plus running counters,
+   so the flow queries below are O(flow) or O(1) instead of re-walking (and
+   re-reversing) the whole log on every call. *)
+type flow_entry = {
+  mutable f_rev_records : record list;
+  mutable f_transmissions : int;
+  mutable f_wire_bytes : int;
+}
+
+type t = {
+  mutable rev_records : record list;
+  mutable count : int;
+  by_flow : (int, flow_entry) Hashtbl.t;
+  observers : consumers;
+  mutable enabled : bool;
+  mutable buffered : bool;
+      (* quarantine mode for per-shard traces in parallel runs: [record]
+         only appends to the in-memory log — no consumers, no per-flow
+         index — so a shard's domain never touches shared state.  The
+         barrier coordinator [drain]s the log and replays it through the
+         main trace, which feeds every consumer in deterministic merged
+         order. *)
+  mutable local_on : bool;  (* cached [enabled || observers.fn_on] *)
+  mutable time_source : floatarray;
+      (* where [emit] reads the current time — the owning net points
+         this at its engine's clock cell, so the fast path gets the
+         timestamp with one unboxed load instead of an accessor call
+         and a boxed float per event *)
+}
 
 let create () =
   {
     rev_records = [];
     count = 0;
     by_flow = Hashtbl.create 64;
-    observers = [];
-    obs_fns = [||];
-    legacy_observer = None;
+    observers = consumers ();
     enabled = true;
     buffered = false;
     local_on = true;
@@ -525,37 +498,20 @@ let create () =
   }
 
 let set_time_source t cell = t.time_source <- cell
-
-let obs_seq = ref 0
-
-let rebuild_observers t =
-  t.obs_fns <- Array.of_list (List.map snd t.observers);
-  t.local_on <- t.enabled || Array.length t.obs_fns > 0
+let refresh t = t.local_on <- t.enabled || t.observers.fn_on
 
 let add_observer t f =
-  incr obs_seq;
-  let id = !obs_seq in
-  t.observers <- t.observers @ [ (id, f) ];
-  rebuild_observers t;
+  let id = add t.observers (Fn f) in
+  refresh t;
   id
 
 let remove_observer t id =
-  t.observers <- List.filter (fun (i, _) -> i <> id) t.observers;
-  rebuild_observers t
-
-let set_observer t f =
-  (match t.legacy_observer with
-  | Some id ->
-      remove_observer t id;
-      t.legacy_observer <- None
-  | None -> ());
-  match f with
-  | Some f -> t.legacy_observer <- Some (add_observer t f)
-  | None -> ()
+  remove t.observers id;
+  refresh t
 
 let set_enabled t b =
   t.enabled <- b;
-  t.local_on <- b || Array.length t.obs_fns > 0
+  refresh t
 
 let enabled t = t.enabled
 let set_buffered t b = t.buffered <- b
@@ -567,13 +523,10 @@ let drain t =
   t.count <- 0;
   rs
 
-(* Installed observers (invariant oracle), process-wide sinks
-   (--trace-json, --pcap) or attached rings (the flight recorder)
-   override gating: those consumers must see every event whether or not
-   in-memory logging was turned off.  Full-consumer interest is the
-   cached [t.local_on || !sink_on] — this test runs for every packet
-   hop. *)
-let interested t = t.local_on || !sink_on || Array.length !ring_arr > 0
+(* Consumers override gating: they must see every event whether or not
+   in-memory logging was turned off.  This test runs for every packet
+   hop, hence the cached flags. *)
+let interested t = t.local_on || process.fn_on || process.ring_on
 
 let frame_of = function
   | Send { frame; _ }
@@ -594,16 +547,21 @@ let flow_entry t flow =
       Hashtbl.add t.by_flow flow e;
       e
 
+let dispatch fns r =
+  for i = 0 to Array.length fns - 1 do
+    (Array.unsafe_get fns i) r
+  done
+
 let record_full t ~time event =
   Prof.enter Prof.Trace_emit;
   let r = { time; event } in
   (* The unbounded in-memory log (and the per-flow index over it) fills
-     whenever a full consumer is active — a run that installs an
+     whenever a function consumer is active — a run that installs an
      observer or sink with tracing "off" still gets the normal log, as
      it always has.  Only ring-only runs skip it, so a capacity run with
      just the flight recorder attached pays the ring store, not
      list/hashtable growth. *)
-  if t.local_on || !sink_on then begin
+  if t.local_on || process.fn_on then begin
     t.rev_records <- r :: t.rev_records;
     t.count <- t.count + 1;
     let e = flow_entry t (frame_of event).flow in
@@ -614,119 +572,43 @@ let record_full t ~time event =
         e.f_wire_bytes <- e.f_wire_bytes + bytes
     | _ -> ()
   end;
-  let obs = t.obs_fns in
-  for i = 0 to Array.length obs - 1 do
-    obs.(i) r
+  dispatch t.observers.fns r;
+  dispatch process.fns r;
+  let rs = process.rings in
+  for i = 0 to Array.length rs - 1 do
+    ring_store_record (Array.unsafe_get rs i) r
   done;
-  let snk = !sink_fns in
-  for i = 0 to Array.length snk - 1 do
-    snk.(i) r
-  done;
-  (* Replay into attached rings so they see events from un-specialised
-     emit sites (drops, ICMP, mobile-IP encap/decap) and from runs where
-     full consumers forced this path. *)
-  (let rs = !ring_arr in
-   if Array.length rs > 0 then
-     for i = 0 to Array.length rs - 1 do
-       ring_store_record (Array.unsafe_get rs i) r
-     done);
   Prof.leave Prof.Trace_emit
 
 let record t ~time event =
   if t.buffered then begin
     (* Shard-local quarantine: append only.  No per-flow index, no
-       observers, no process-wide sinks or rings, and no Prof bracket —
-       the profiler's accumulators are process globals and this path runs
-       inside a shard's domain.  The barrier coordinator drains and
-       replays through the main trace's full path. *)
+       consumers, and no Prof bracket — the profiler's accumulators are
+       process globals and this path runs inside a shard's domain.  The
+       barrier coordinator drains and replays through the main trace's
+       full path. *)
     t.rev_records <- { time; event } :: t.rev_records;
     t.count <- t.count + 1
   end
   else record_full t ~time event
 
-(* Specialised emit points for the hottest data-plane events.  With only
-   rings interested these cost a handful of loads and stores per event;
-   with any full consumer attached they fall back to [record] (which
-   replays into rings).  The ring loop is open-coded in each body and the
-   profiler probe guarded by a direct flag read: on the capacity fast
-   path even a no-op cross-module call per event shows up in E20. *)
-
-let emit_send t ~node ~id ~flow ~pkt =
-  if t.local_on || !sink_on then
+(* With only rings interested an event costs a handful of loads and
+   stores; with any function consumer attached it becomes a [record]
+   (which replays into rings).  The ring loop carries no profiler probe:
+   on the capacity fast path even a no-op cross-module call per event
+   shows up in E20, and [record] keeps Trace_emit attribution for full
+   consumers. *)
+let emit t kind ~name ~in_iface ~out_iface ~reason ~bytes ~id ~flow pkt =
+  if t.local_on || process.fn_on then
     record t
       ~time:(Float.Array.unsafe_get t.time_source 0)
-      (Send { node; frame = { id; flow; pkt } })
+      (event_of_kind kind ~name ~in_iface ~out_iface ~reason ~bytes
+         { id; flow; pkt })
   else
-    (* no Prof bracket here: the ring store is a few dozen ns and the
-       [record] path keeps Trace_emit attribution for full consumers *)
-    let rs = !ring_arr in
+    let rs = process.rings in
     for i = 0 to Array.length rs - 1 do
-      ring_store_cell (Array.unsafe_get rs i) t.time_source k_send node
-        no_iface no_iface no_reason id flow pkt 0
-    done
-
-let emit_transmit t ~link ~id ~flow ~pkt ~bytes =
-  if t.local_on || !sink_on then
-    record t
-      ~time:(Float.Array.unsafe_get t.time_source 0)
-      (Transmit { link; frame = { id; flow; pkt }; bytes })
-  else
-    let rs = !ring_arr in
-    for i = 0 to Array.length rs - 1 do
-      ring_store_cell (Array.unsafe_get rs i) t.time_source k_transmit link
-        no_iface no_iface no_reason id flow pkt bytes
-    done
-
-let emit_forward t ~node ~in_iface ~out_iface ~id ~flow ~pkt =
-  if t.local_on || !sink_on then
-    record t
-      ~time:(Float.Array.unsafe_get t.time_source 0)
-      (Forward { node; in_iface; out_iface; frame = { id; flow; pkt } })
-  else
-    let rs = !ring_arr in
-    for i = 0 to Array.length rs - 1 do
-      ring_store_cell (Array.unsafe_get rs i) t.time_source k_forward node
-        in_iface out_iface no_reason id flow pkt 0
-    done
-
-let emit_deliver t ~node ~id ~flow ~pkt =
-  if t.local_on || !sink_on then
-    record t
-      ~time:(Float.Array.unsafe_get t.time_source 0)
-      (Deliver { node; frame = { id; flow; pkt } })
-  else
-    let rs = !ring_arr in
-    for i = 0 to Array.length rs - 1 do
-      ring_store_cell (Array.unsafe_get rs i) t.time_source k_deliver node
-        no_iface no_iface no_reason id flow pkt 0
-    done
-
-(* Tunnel events ride the same fast path: on a roamed topology every
-   tunneled packet pays one of these per encap/decap hop, which would
-   otherwise be the only per-packet event still allocating a record
-   graph on ring-only runs. *)
-let emit_encapsulate t ~node ~id ~flow ~pkt =
-  if t.local_on || !sink_on then
-    record t
-      ~time:(Float.Array.unsafe_get t.time_source 0)
-      (Encapsulate { node; frame = { id; flow; pkt } })
-  else
-    let rs = !ring_arr in
-    for i = 0 to Array.length rs - 1 do
-      ring_store_cell (Array.unsafe_get rs i) t.time_source k_encapsulate node
-        no_iface no_iface no_reason id flow pkt 0
-    done
-
-let emit_decapsulate t ~node ~id ~flow ~pkt =
-  if t.local_on || !sink_on then
-    record t
-      ~time:(Float.Array.unsafe_get t.time_source 0)
-      (Decapsulate { node; frame = { id; flow; pkt } })
-  else
-    let rs = !ring_arr in
-    for i = 0 to Array.length rs - 1 do
-      ring_store_cell (Array.unsafe_get rs i) t.time_source k_decapsulate node
-        no_iface no_iface no_reason id flow pkt 0
+      ring_store_cell (Array.unsafe_get rs i) t.time_source kind name in_iface
+        out_iface reason id flow pkt bytes
     done
 
 let records t = List.rev t.rev_records

@@ -97,66 +97,57 @@ val drain : t -> record list
 
 val interested : t -> bool
 (** Whether anything wants trace events right now: the trace is enabled,
-    or an observer, process-wide sink or fast tap is installed.  The
+    or a consumer (observer, sink or attached ring) is installed.  The
     data plane checks this before constructing an event. *)
 
-(** {1 Composable taps}
+(** {1 Consumers}
 
-    Observers are per-trace, sinks are process-wide; both tee — any
-    number can be installed at once, each called with every record in
-    installation order.  The invariant oracle, the flight recorder,
-    [--trace-json] and [--pcap] all coexist.  A tap must not call back
-    into the trace it is observing. *)
+    A consumer is either a function called with every {!record}, or a
+    {!ring} fed field by field.  Each trace has its own consumer set
+    (observers); one process-wide set holds the sinks and the attached
+    rings.  Any number of each can be installed at once — the invariant
+    oracle, the flight recorder, [--trace-json] and [--pcap] all
+    coexist.  Every record reaches this trace's observers, then the
+    process-wide functions, then the rings, each set in installation
+    order.  A buffered trace ({!set_buffered}) feeds none of them: its
+    records reach consumers only when replayed through the main trace.
+    A consumer must not call back into the trace it is observing.
+
+    Function consumers receive allocated records, so any one of them
+    forces the data plane to build the frame/event/record graph for
+    every traced event.  When rings are the only consumers, {!emit}
+    writes their slot arrays straight from the emit site and allocates
+    nothing — what lets the flight recorder stay attached during
+    capacity runs at a few percent of throughput.  Either way a ring
+    sees each event exactly once. *)
 
 type observer
-(** Handle for one installed per-trace tap. *)
+(** Handle for one per-trace consumer. *)
 
 type sink
-(** Handle for one installed process-wide tap. *)
+(** Handle for one process-wide consumer (function or ring). *)
 
 val add_observer : t -> (record -> unit) -> observer
-(** Install a tap called with every record written to {e this} trace —
-    how the {!Invariant} oracle (and a per-run flight recorder) watches a
-    run without disturbing the process-wide sinks. *)
+(** Install a consumer called with every record written to {e this}
+    trace — how the {!Invariant} oracle (and a per-run flight recorder)
+    watches a run without disturbing the process-wide sinks. *)
 
 val remove_observer : t -> observer -> unit
 (** Removing twice, or removing a never-installed handle, is a no-op. *)
 
 val add_sink : (record -> unit) -> sink
-(** Install a tap receiving every record from {e every} trace as it is
-    written — the hook behind the CLI's [--trace-json] and [--pcap]
+(** Install a consumer receiving every record from {e every} trace as it
+    is written — the hook behind the CLI's [--trace-json] and [--pcap]
     streaming exports, which observe worlds built deep inside experiment
     runners. *)
 
 val remove_sink : sink -> unit
-
-val set_observer : t -> (record -> unit) option -> unit
-(** Single-slot facade over {!add_observer}: installs the tap, replacing
-    whatever the previous [set_observer] installed; [None] clears it.
-    Taps installed with {!add_observer} are untouched. *)
-
-val set_sink : (record -> unit) option -> unit
-(** Single-slot facade over {!add_sink} with the same replace-in-place
-    semantics; sinks installed with {!add_sink} are untouched. *)
-
-(** {1 Flight-recorder rings}
-
-    Observers and sinks receive allocated {!record} values, so any one
-    of them forces the data plane to build the frame/event/record graph
-    for every traced event.  A {e ring} is a preallocated fixed-capacity
-    last-K event store fed field-by-field: when rings are the only
-    consumers, the specialised [emit_*] entry points below write slot
-    arrays straight from the emit site and allocate nothing.  This is
-    what lets the flight recorder stay attached during capacity runs at
-    a few percent of throughput.  An attached ring sees every event
-    exactly once regardless of which path it took — events routed
-    through {!record} (full consumers attached, or event kinds with no
-    [emit_*] helper) are replayed into rings by destructuring.
-
-    This is the storage primitive behind [Netobs.Recorder], which adds
-    the user-facing capture API (install, tail, JSONL/pcap dumps). *)
+(** Remove a sink or an attached ring; a no-op when already removed. *)
 
 type ring
+(** A preallocated fixed-capacity last-K event store — the storage
+    primitive behind [Netobs.Recorder], which adds the user-facing
+    capture API (install, tail, JSONL/pcap dumps). *)
 
 val make_ring : ?sample_every:int -> ?seed:int -> capacity:int -> unit -> ring
 (** A ring holding the last [capacity] events.  [sample_every] (default
@@ -167,37 +158,13 @@ val make_ring : ?sample_every:int -> ?seed:int -> capacity:int -> unit -> ring
     @raise Invalid_argument unless [capacity] and [sample_every] are
     positive. *)
 
-val attach_ring : ring -> unit
-(** Attach process-wide (idempotent); composes with observers and sinks
-    like {!add_sink} does. *)
-
-val detach_ring : ring -> unit
-(** Detaching a never-attached ring is a no-op. *)
-
-val ring_attached : ring -> bool
-
-val ring_store :
-  ring ->
-  float ->
-  int ->
-  string ->
-  string ->
-  string ->
-  drop_reason ->
-  int ->
-  int ->
-  Ipv4_packet.t ->
-  int ->
-  unit
-(** [ring_store rg time kind name in_iface out_iface reason id flow pkt
-    bytes] offers one event to the ring: the sampling decision, then the
-    slot stores.  [kind] is one of the [k_*] tags below; [name] is the
-    node name, or the link name for {!k_transmit}; arguments that do not
-    apply to a kind are [""] / a placeholder reason / [0]. *)
+val attach_ring : ring -> sink
+(** Install the ring process-wide; {!remove_sink} detaches it.  Each
+    call is a separate entry, as with {!add_sink}. *)
 
 val ring_store_record : ring -> record -> unit
-(** {!ring_store} of a record's fields — for feeding a ring from an
-    observer or sink. *)
+(** Offer one record to the ring: the sampling decision, then the slot
+    stores — for feeding a ring from an observer. *)
 
 val ring_records : ring -> record list
 (** Rebuild the ring's contents as structurally identical records,
@@ -218,55 +185,46 @@ val ring_length : ring -> int
 
 val ring_clear : ring -> unit
 
-(** Kind tags used by {!ring_store}, numbered in declaration order of
-    {!event}. *)
-
-val k_send : int
-
-val k_transmit : int
-val k_forward : int
-val k_drop : int
-val k_deliver : int
-val k_encapsulate : int
-val k_decapsulate : int
-val k_icmp_error : int
+(** {1 Emitting} *)
 
 val set_time_source : t -> floatarray -> unit
-(** Point the trace at the one-element cell its [emit_*] fast paths read
-    the current time from ({!Engine.clock_cell} of the owning net's
-    engine).  Until set, emits are stamped 0.0 — every real trace gets
-    wired by [Net.make].  The trace never writes the cell. *)
+(** Point the trace at the one-element cell {!emit} reads the current
+    time from ({!Engine.clock_cell} of the owning net's engine).  Until
+    set, emits are stamped 0.0 — every real trace gets wired by
+    [Net.make].  The trace never writes the cell. *)
 
-val emit_send : t -> node:string -> id:int -> flow:int -> pkt:Ipv4_packet.t -> unit
-(** [emit_send] .. [emit_deliver] are equivalent to {!record} with the
-    corresponding event (stamped from the {!set_time_source} cell) but
-    are self-gated: they skip event construction entirely when only
-    rings are interested, and do nothing at all when nothing is.  The
-    data plane uses them unguarded for its hottest events; other call
-    sites keep using {!record}. *)
+(** Event kinds, one per {!event} constructor. *)
+type kind =
+  | K_send
+  | K_transmit
+  | K_forward
+  | K_drop
+  | K_deliver
+  | K_encapsulate
+  | K_decapsulate
+  | K_icmp_error
 
-val emit_transmit :
-  t -> link:string -> id:int -> flow:int -> pkt:Ipv4_packet.t -> bytes:int -> unit
-
-val emit_forward :
+val emit :
   t ->
-  node:string ->
+  kind ->
+  name:string ->
   in_iface:string ->
   out_iface:string ->
+  reason:drop_reason ->
+  bytes:int ->
   id:int ->
   flow:int ->
-  pkt:Ipv4_packet.t ->
+  Ipv4_packet.t ->
   unit
-
-val emit_deliver : t -> node:string -> id:int -> flow:int -> pkt:Ipv4_packet.t -> unit
-
-val emit_encapsulate :
-  t -> node:string -> id:int -> flow:int -> pkt:Ipv4_packet.t -> unit
-
-val emit_decapsulate :
-  t -> node:string -> id:int -> flow:int -> pkt:Ipv4_packet.t -> unit
-(** Tunnel encap/decap on the same allocation-free fast path — on a
-    roamed topology these fire for every tunneled packet. *)
+(** [emit t kind ~name ~in_iface ~out_iface ~reason ~bytes ~id ~flow pkt]
+    is {!record} of the event of that kind (stamped from the
+    {!set_time_source} cell), built only when a function consumer or
+    the enabled log wants it.  [name] is the node, or the link for
+    [K_transmit]; [in_iface]/[out_iface] apply to [K_forward], [reason]
+    to [K_drop] and [K_icmp_error], [bytes] to [K_transmit].  Fields a
+    kind does not carry are ignored.  Self-gated: when only rings are
+    interested it stores into them without building the event, and when
+    nothing is it does nothing at all. *)
 
 (** {1 Flow queries}
 

@@ -20,7 +20,7 @@ val read_trace_jsonl : in_channel -> (Netsim.Trace.record list, string) result
     skipped. *)
 
 val sink_to_channel : out_channel -> Netsim.Trace.record -> unit
-(** A streaming sink for {!Netsim.Trace.set_sink}: writes each record as a
+(** A streaming sink for {!Netsim.Trace.add_sink}: writes each record as a
     JSONL line as it happens — telemetry from worlds the caller never sees
     (e.g. inside experiment runners). *)
 

@@ -9,10 +9,10 @@
 
 open Netsim
 
-type t = { ring : Trace.ring; mutable installed : bool }
+type t = { ring : Trace.ring; mutable handle : Trace.sink option }
 
 let create ?sample_every ?seed ~capacity () =
-  { ring = Trace.make_ring ?sample_every ?seed ~capacity (); installed = false }
+  { ring = Trace.make_ring ?sample_every ?seed ~capacity (); handle = None }
 
 let capacity t = Trace.ring_capacity t.ring
 let seen t = Trace.ring_seen t.ring
@@ -23,16 +23,11 @@ let note t r = Trace.ring_store_record t.ring r
 let clear t = Trace.ring_clear t.ring
 
 let install t =
-  if not t.installed then begin
-    t.installed <- true;
-    Trace.attach_ring t.ring
-  end
+  if t.handle = None then t.handle <- Some (Trace.attach_ring t.ring)
 
 let uninstall t =
-  if t.installed then begin
-    t.installed <- false;
-    Trace.detach_ring t.ring
-  end
+  Option.iter Trace.remove_sink t.handle;
+  t.handle <- None
 
 let records t = Trace.ring_records t.ring
 

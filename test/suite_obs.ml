@@ -116,6 +116,20 @@ let test_json_whitespace () =
                  Netobs.Json.String "x\n" ]))
   | Error e -> Alcotest.failf "parse failed: %s" e
 
+(* ---------- hex ---------- *)
+
+let test_hex_known_vectors () =
+  Alcotest.(check string)
+    "lowercase, two digits per byte" "000f80ff"
+    (Netobs.Export.hex_of_bytes (Bytes.of_string "\x00\x0f\x80\xff"));
+  Alcotest.(check string) "empty" "" (Netobs.Export.hex_of_bytes Bytes.empty)
+
+let prop_hex_round_trip =
+  QCheck.Test.make ~name:"bytes_of_hex inverts hex_of_bytes" ~count:200
+    QCheck.string (fun s ->
+      let b = Bytes.of_string s in
+      Netobs.Export.bytes_of_hex (Netobs.Export.hex_of_bytes b) = Ok b)
+
 (* ---------- trace events: JSONL round trip ---------- *)
 
 let udp_packet ?(size = 32) () =
@@ -208,9 +222,9 @@ let test_flow_index () =
 
 let test_trace_sink () =
   let seen = ref 0 in
-  Trace.set_sink (Some (fun _ -> incr seen));
+  let sink = Trace.add_sink (fun _ -> incr seen) in
   Fun.protect
-    ~finally:(fun () -> Trace.set_sink None)
+    ~finally:(fun () -> Trace.remove_sink sink)
     (fun () ->
       let t = sample_trace () in
       Alcotest.(check int) "sink saw every record" (Trace.length t) !seen)
@@ -301,6 +315,8 @@ let suites =
         Alcotest.test_case "json round trip" `Quick test_json_roundtrip;
         Alcotest.test_case "json errors" `Quick test_json_errors;
         Alcotest.test_case "json whitespace" `Quick test_json_whitespace;
+        Alcotest.test_case "hex known vectors" `Quick test_hex_known_vectors;
+        QCheck_alcotest.to_alcotest prop_hex_round_trip;
         Alcotest.test_case "trace event jsonl round trip" `Quick
           test_event_json_roundtrip;
         Alcotest.test_case "per-flow index" `Quick test_flow_index;

@@ -121,23 +121,6 @@ let test_tee_identity () =
   Alcotest.(check bool)
     "uninterested once sinks are gone" false (Trace.interested t)
 
-let test_tee_with_legacy_slot () =
-  let tee = ref 0 and legacy = ref 0 in
-  let h = Trace.add_sink (fun _ -> incr tee) in
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.remove_sink h;
-      Trace.set_sink None)
-    (fun () ->
-      Trace.set_sink (Some (fun _ -> incr legacy));
-      let t = Trace.create () in
-      Trace.record t ~time:0.0 (transmit 1).Trace.event;
-      (* replacing the legacy slot must not disturb the tee sink *)
-      Trace.set_sink (Some (fun _ -> legacy := !legacy + 10));
-      Trace.record t ~time:0.0 (transmit 2).Trace.event;
-      Alcotest.(check int) "tee saw every record" 2 !tee;
-      Alcotest.(check int) "legacy slot was replaced in place" 11 !legacy)
-
 let test_recorder_as_sink () =
   let r = Netobs.Recorder.create ~capacity:8 () in
   Netobs.Recorder.install r;
@@ -363,7 +346,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_ring_wraparound;
         QCheck_alcotest.to_alcotest prop_sampling_deterministic;
         Alcotest.test_case "tee identity" `Quick test_tee_identity;
-        Alcotest.test_case "tee vs legacy slot" `Quick test_tee_with_legacy_slot;
         Alcotest.test_case "recorder as tee sink" `Quick test_recorder_as_sink;
         Alcotest.test_case "pcap golden bytes" `Quick test_pcap_golden_bytes;
         Alcotest.test_case "pcap round trip" `Quick test_pcap_roundtrip;

@@ -254,6 +254,53 @@ let test_parallel_replays_identically () =
   Alcotest.(check int) "same deliveries" d1 d2;
   Alcotest.(check bool) "same trace, record for record" true (tr1 = tr2)
 
+(* A tunnel endpoint on a worker shard traces through its own shard:
+   the merged record carries that node's clock, not the coordinator's,
+   and lands in the same place on every replay. *)
+let test_parallel_tunnel_events_use_node_clock () =
+  let run () =
+    let net, hosts = build_mini 2 in
+    Net.set_shards ~parallel:true net 2;
+    let stamps = ref [] in
+    Array.iter
+      (Array.iter (fun (n, _) ->
+           Net.set_protocol_handler n proto (fun node _ pkt ->
+               if Net.node_shard node = 1 then begin
+                 Net.trace_tunnel node Trace.K_decapsulate ~flow:0 pkt;
+                 stamps := (Net.node_name node, Net.node_now node) :: !stamps
+               end)))
+      hosts;
+    let all = Array.to_list (Array.concat (Array.to_list hosts)) in
+    let on k = List.filter (fun (n, _) -> Net.node_shard n = k) all in
+    let receivers = on 1 and src, src_addr = List.hd (on 0) in
+    List.iteri
+      (fun i (_, dst) ->
+        Engine.after (Net.node_engine src)
+          (0.001 *. float_of_int (i + 1))
+          (fun () ->
+            ignore
+              (Net.send src
+                 (Ipv4_packet.make ~ident:i ~protocol:proto ~src:src_addr ~dst
+                    (Ipv4_packet.Raw (Bytes.make 64 'p'))))))
+      receivers;
+    Net.run net;
+    let decaps =
+      List.filter_map
+        (fun r ->
+          match r.Trace.event with
+          | Trace.Decapsulate { node; _ } -> Some (node, r.Trace.time)
+          | _ -> None)
+        (Trace.records (Net.trace net))
+    in
+    (Trace.records (Net.trace net), decaps, List.rev !stamps)
+  in
+  let tr1, decaps, stamps = run () in
+  Alcotest.(check bool) "receivers on shard 1 were reached" true (stamps <> []);
+  Alcotest.(check (list (pair string (float 0.0))))
+    "each decapsulate carries its node's clock" stamps decaps;
+  let tr2, _, _ = run () in
+  Alcotest.(check bool) "same trace, record for record" true (tr1 = tr2)
+
 let test_cancellable_across_barriers () =
   (* A timer scheduled several conservative windows ahead must survive
      the barriers if left alone, and must never fire once cancelled —
@@ -454,6 +501,8 @@ let suites =
           test_parallel_matches_sequential;
         Alcotest.test_case "replays identically run to run" `Quick
           test_parallel_replays_identically;
+        Alcotest.test_case "tunnel events carry the node's clock" `Quick
+          test_parallel_tunnel_events_use_node_clock;
         Alcotest.test_case "cancellable_after across barrier windows" `Quick
           test_cancellable_across_barriers;
       ] );

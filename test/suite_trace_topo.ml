@@ -192,41 +192,104 @@ let test_gating_disabled_records_nothing () =
   Alcotest.(check bool) "second ping works" true (gating_ping net h1);
   Alcotest.(check bool) "records resume" true (Trace.length (Net.trace net) > 0)
 
-(* An observer (resp. the process-wide sink) must keep the data plane
-   emitting events even when the trace itself is disabled, and the events
-   must be exactly those an enabled run records. *)
-let test_gating_observer_sees_identical_events () =
-  let net1, h1 = gating_world () in
-  Alcotest.(check bool) "reference ping" true (gating_ping net1 h1);
-  let reference = List.map render (Trace.records (Net.trace net1)) in
-  Alcotest.(check bool) "reference run recorded" true (reference <> []);
-  let net2, h2 = gating_world () in
-  Net.set_tracing net2 false;
+(* The gating worlds: each builds a net and returns the run that
+   exercises it.  The tunnelled world takes a static care-of address
+   (DHCP embeds interface MACs, which come from a global counter and so
+   differ between two builds in one process), pings the mobile host
+   through the home agent's tunnel and sends an Out-DH datagram that
+   strict filtering drops — so encapsulate, decapsulate and drop events
+   all reach the consumer. *)
+let lan_world () =
+  let net, h1 = gating_world () in
+  (net, fun () -> Alcotest.(check bool) "ping answered" true (gating_ping net h1))
+
+let tunnel_world () =
+  let open Scenarios.Topo in
+  let topo = build ~ch_position:Remote ~filtering:strict () in
+  ( topo.net,
+    fun () ->
+      roam_static topo ();
+      ignore (ping_home topo);
+      Mobileip.Mobile_host.set_default_method topo.mh Mobileip.Grid.Out_DH;
+      let udp = Transport.Udp_service.get topo.mh_node in
+      ignore
+        (Transport.Udp_service.send udp ~src:topo.mh_home_addr
+           ~dst:topo.ch_addr ~src_port:7100 ~dst_port:9 (Bytes.make 16 't'));
+      run topo )
+
+let is_encap r = match r.Trace.event with Trace.Encapsulate _ -> true | _ -> false
+let is_decap r = match r.Trace.event with Trace.Decapsulate _ -> true | _ -> false
+let is_drop r = match r.Trace.event with Trace.Drop _ -> true | _ -> false
+
+let gating_worlds =
+  [
+    ("lan", lan_world, []);
+    ( "tunnel",
+      tunnel_world,
+      [ ("encapsulate", is_encap); ("decapsulate", is_decap); ("drop", is_drop) ]
+    );
+  ]
+
+(* A consumer must keep the data plane emitting events even when the
+   trace itself is disabled, and the events must be exactly those an
+   enabled run records.  [attach] installs the consumer on the disabled
+   world and returns what it saw plus its removal; [logged] says whether
+   the world's own log still fills (it does for function consumers, not
+   for a ring-only run). *)
+let check_consumer_sees_enabled_events ~attach ~logged =
+  List.iter
+    (fun (label, world, kinds) ->
+      let net1, go1 = world () in
+      go1 ();
+      let records = Trace.records (Net.trace net1) in
+      List.iter
+        (fun (kind, p) ->
+          Alcotest.(check bool)
+            (label ^ ": reference run has " ^ kind)
+            true (List.exists p records))
+        kinds;
+      let reference = List.map render records in
+      Alcotest.(check bool) (label ^ ": reference run recorded") true
+        (reference <> []);
+      let net2, go2 = world () in
+      Net.set_tracing net2 false;
+      let seen, detach = attach net2 in
+      Fun.protect ~finally:detach go2;
+      Alcotest.(check (list string))
+        (label ^ ": consumer sees the enabled-run events")
+        reference
+        (List.map render (seen ()));
+      Alcotest.(check (list string))
+        (label ^ ": world log")
+        (if logged then reference else [])
+        (List.map render (Trace.records (Net.trace net2))))
+    gating_worlds
+
+let collect () =
   let seen = ref [] in
-  Trace.set_observer (Net.trace net2) (Some (fun r -> seen := r :: !seen));
-  Alcotest.(check bool) "observed ping" true (gating_ping net2 h2);
-  Alcotest.(check (list string)) "observer sees the enabled-run events"
-    reference
-    (List.rev_map render !seen);
-  (* While a consumer keeps the trace interested, records are still
-     logged to the buffer normally. *)
-  Alcotest.(check (list string)) "buffer logged normally too" reference
-    (List.map render (Trace.records (Net.trace net2)))
+  (seen, fun r -> seen := r :: !seen)
+
+let test_gating_observer_sees_identical_events () =
+  check_consumer_sees_enabled_events ~logged:true ~attach:(fun net ->
+      let seen, f = collect () in
+      let h = Trace.add_observer (Net.trace net) f in
+      ( (fun () -> List.rev !seen),
+        fun () -> Trace.remove_observer (Net.trace net) h ))
 
 let test_gating_sink_sees_identical_events () =
-  let net1, h1 = gating_world () in
-  Alcotest.(check bool) "reference ping" true (gating_ping net1 h1);
-  let reference = List.map render (Trace.records (Net.trace net1)) in
-  let net2, h2 = gating_world () in
-  Net.set_tracing net2 false;
-  let seen = ref [] in
-  Fun.protect
-    ~finally:(fun () -> Trace.set_sink None)
-    (fun () ->
-      Trace.set_sink (Some (fun r -> seen := r :: !seen));
-      Alcotest.(check bool) "sink ping" true (gating_ping net2 h2));
-  Alcotest.(check (list string)) "sink sees the enabled-run events" reference
-    (List.rev_map render !seen)
+  check_consumer_sees_enabled_events ~logged:true ~attach:(fun _ ->
+      let seen, f = collect () in
+      let h = Trace.add_sink f in
+      ((fun () -> List.rev !seen), fun () -> Trace.remove_sink h))
+
+(* Only a flight recorder listening: every event takes the ring-only
+   fast path, which must capture what the full path records. *)
+let test_gating_recorder_sees_identical_events () =
+  check_consumer_sees_enabled_events ~logged:false ~attach:(fun _ ->
+      let r = Netobs.Recorder.create ~capacity:4096 () in
+      Netobs.Recorder.install r;
+      ( (fun () -> Netobs.Recorder.records r),
+        fun () -> Netobs.Recorder.uninstall r ))
 
 let suites =
   [
@@ -253,5 +316,7 @@ let suites =
           test_gating_observer_sees_identical_events;
         Alcotest.test_case "gating: sink sees identical events" `Quick
           test_gating_sink_sees_identical_events;
+        Alcotest.test_case "gating: recorder sees identical events" `Quick
+          test_gating_recorder_sees_identical_events;
       ] );
   ]
