@@ -194,12 +194,12 @@ let tcp_transfer ~window () =
 
 (* The sharded engine against the plain one on the same two-domain
    ping-pong world: the pair keeps the merged executor's pick-loop
-   overhead visible revision over revision.  (The parallel executor is
-   benchmarked by experiment E21, not here — Domain.spawn per barrier
-   window would drown a microbenchmark quota.) *)
+   overhead visible revision over revision, and the parallel case the
+   parallel executor's per-run cost — spawning and joining one worker
+   domain, then one barrier per 5 ms window. *)
 let shard_proto = Netsim.Ipv4_packet.P_other 252
 
-let shard_pingpong ~shards () =
+let shard_pingpong ~parallel ~shards () =
   let net = Netsim.Net.create () in
   Netsim.Net.set_tracing net false;
   let a = Netsim.Net.add_host net "a" in
@@ -224,7 +224,7 @@ let shard_pingpong ~shards () =
     ~gateway:(addr "10.0.2.2") ~iface:"if1";
   Netsim.Routing.add_default (Netsim.Net.routing r1)
     ~gateway:(addr "10.0.2.1") ~iface:"if0";
-  if shards > 1 then Netsim.Net.set_shards net shards;
+  if shards > 1 then Netsim.Net.set_shards ~parallel net shards;
   let sent = ref 1 and got = ref 0 in
   let payload = Netsim.Ipv4_packet.Raw (Bytes.make 64 'q') in
   let fire node ~src ~dst =
@@ -313,9 +313,11 @@ let micro_tests =
                   ~src:(addr "1.2.3.4") ~dst:(addr "5.6.7.8")
                   (Netsim.Ipv4_packet.Raw (Bytes.make 3000 'f')))));
       Test.make ~name:"sim-pingpong-unsharded"
-        (Staged.stage (shard_pingpong ~shards:1));
+        (Staged.stage (shard_pingpong ~parallel:false ~shards:1));
       Test.make ~name:"sim-pingpong-2shards-merged"
-        (Staged.stage (shard_pingpong ~shards:2));
+        (Staged.stage (shard_pingpong ~parallel:false ~shards:2));
+      Test.make ~name:"sim-parallel-2shards"
+        (Staged.stage (shard_pingpong ~parallel:true ~shards:2));
       Test.make ~name:"sim-tunnel-ping-full-world" (Staged.stage tunnel_ping);
       Test.make ~name:"sim-tcp-8KB-stop-and-wait"
         (Staged.stage (tcp_transfer ~window:1));

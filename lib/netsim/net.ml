@@ -18,6 +18,9 @@ type shard = {
   sh_pool : Pool.t;
   mutable sh_next_frame : int;
   mutable sh_next_flow : int;
+  mutable sh_wait : float;
+      (* parallel runs: seconds this shard's domain spent spinning or
+         parked at barriers, written only by that domain *)
 }
 
 type t = {
@@ -51,9 +54,18 @@ type t = {
       (* [src].(dst): bounded SPSC cross-shard channels, written only by
          the source shard's domain during a window, drained only by the
          coordinator at the barrier *)
+  mutable windows : int;
+  mutable window_events : int;
+  mutable max_window_events : int;
+      (* barrier windows run, and events run in them, since the last
+         [set_shards] *)
 }
 
-and outbox = { mutable ob_rev : xevent list; mutable ob_count : int }
+and outbox = {
+  mutable ob_rev : xevent list;
+  mutable ob_count : int;
+  mutable ob_peak : int;  (* largest [ob_count] seen at a barrier *)
+}
 and xevent = { x_at : float; x_target : iface; x_frame : frame }
 
 (* Opt-in ICMP error signaling: per-(node, offender) hold-down with a
@@ -169,6 +181,7 @@ let create () =
       sh_pool = Pool.create ();
       sh_next_frame = 0;
       sh_next_flow = 0;
+      sh_wait = 0.0;
     }
   in
   {
@@ -187,6 +200,9 @@ let create () =
     frame_base = 0;
     flow_base = 0;
     outboxes = [||];
+    windows = 0;
+    window_events = 0;
+    max_window_events = 0;
   }
 
 let set_fault_hook t f = t.fault_hook <- f
@@ -1227,6 +1243,10 @@ let set_shards ?(parallel = false) ?(seed = 0) ?(same = []) t n =
     Array.to_list bins |> List.filter (fun b -> b <> []) |> List.map List.rev
   in
   let k = List.length nonempty in
+  t.windows <- 0;
+  t.window_events <- 0;
+  t.max_window_events <- 0;
+  t.shards.(0).sh_wait <- 0.0;
   if k <= 1 then collapse_shards t
   else begin
     let shard0 = t.shards.(0) in
@@ -1243,6 +1263,7 @@ let set_shards ?(parallel = false) ?(seed = 0) ?(same = []) t n =
               sh_pool = Pool.create ();
               sh_next_frame = 0;
               sh_next_flow = 0;
+              sh_wait = 0.0;
             })
     in
     if parallel then begin
@@ -1263,7 +1284,7 @@ let set_shards ?(parallel = false) ?(seed = 0) ?(same = []) t n =
       t.flow_base <- t.next_flow;
       t.outboxes <-
         Array.init k (fun _ ->
-            Array.init k (fun _ -> { ob_rev = []; ob_count = 0 }))
+            Array.init k (fun _ -> { ob_rev = []; ob_count = 0; ob_peak = 0 }))
     end
     else begin
       (* Sequential sharded mode: one global timeline.  Every shard
@@ -1305,6 +1326,7 @@ let drain_outboxes t ~horizon =
     for d = 0 to k - 1 do
       let ob = t.outboxes.(s).(d) in
       if ob.ob_count > 0 then begin
+        if ob.ob_count > ob.ob_peak then ob.ob_peak <- ob.ob_count;
         let xs = List.rev ob.ob_rev in
         ob.ob_rev <- [];
         ob.ob_count <- 0;
@@ -1399,11 +1421,133 @@ let run_merged ?until ?(max_events = 10_000_000) t =
     ~cpu:(Sys.time () -. cpu0);
   Engine.notify_observer t.engine
 
+(* The parallel executor's worker pool, one domain per non-primary shard.
+   A window is one generation: the coordinator publishes the horizon and
+   budget, bumps [gen], runs shard 0 itself, then waits for [running] to
+   count down to zero.  Plain fields written before an [Atomic] write are
+   visible to a domain that reads the new value, so the generation
+   counter also publishes the window.  Waiters spin [spin] rounds of
+   [Domain.cpu_relax], then park on [lock]; a state change is followed by
+   a locked broadcast, so a waiter that checked under the lock cannot
+   miss it. *)
+type crew = {
+  gen : int Atomic.t;
+  running : int Atomic.t;  (* workers still inside the current window *)
+  mutable horizon : float;
+  mutable budget : int;
+  mutable stop : bool;
+  executed : int array;
+      (* per shard, events run in the current window; shard 0's entry
+         stays 0, the coordinator counts its own *)
+  failed : (exn * Printexc.raw_backtrace) option array;
+  lock : Mutex.t;
+  wake : Condition.t;  (* a generation was published *)
+  idle : Condition.t;  (* the last worker finished its window *)
+  spin : int;
+  mutable domains : unit Domain.t list;
+}
+
+(* About 0.7 ms of [Domain.cpu_relax] on a 2-core Xeon VM: longer than a
+   busy window's barrier wait, short enough that an idle pool soon parks
+   instead of burning its cores. *)
+let spin_rounds = 20_000
+
+let crew_await c cond ready =
+  let n = ref c.spin in
+  while !n > 0 && not (ready ()) do
+    Domain.cpu_relax ();
+    decr n
+  done;
+  if not (ready ()) then begin
+    Mutex.lock c.lock;
+    while not (ready ()) do
+      Condition.wait cond c.lock
+    done;
+    Mutex.unlock c.lock
+  end
+
+let crew_notify c cond =
+  Mutex.lock c.lock;
+  Condition.broadcast cond;
+  Mutex.unlock c.lock
+
+(* A worker runs its shard's share of every generation until [stop].  An
+   exception is recorded, never raised: the worker still completes the
+   barrier and stays joinable, and the coordinator re-raises. *)
+let crew_worker c ?until sh () =
+  let rec loop seen done_at =
+    crew_await c c.wake (fun () -> Atomic.get c.gen <> seen);
+    let seen = Atomic.get c.gen in
+    sh.sh_wait <- sh.sh_wait +. (Unix.gettimeofday () -. done_at);
+    if not c.stop then begin
+      (try
+         c.executed.(sh.sh_idx) <-
+           Engine.run_window ?until ~max_events:c.budget ~horizon:c.horizon
+             sh.sh_engine
+       with e ->
+         c.failed.(sh.sh_idx) <- Some (e, Printexc.get_raw_backtrace ()));
+      let done_at = Unix.gettimeofday () in
+      if Atomic.fetch_and_add c.running (-1) = 1 then crew_notify c c.idle;
+      loop seen done_at
+    end
+  in
+  loop 0 (Unix.gettimeofday ())
+
+let crew_create k =
+  {
+    gen = Atomic.make 0;
+    running = Atomic.make 0;
+    horizon = 0.0;
+    budget = 0;
+    stop = false;
+    executed = Array.make k 0;
+    failed = Array.make k None;
+    lock = Mutex.create ();
+    wake = Condition.create ();
+    idle = Condition.create ();
+    (* Oversubscribed: a spinning waiter would burn the core that the
+       domain it waits for needs. *)
+    spin = (if k > Domain.recommended_domain_count () then 0 else spin_rounds);
+    domains = [];
+  }
+
+(* Run one generation: shard 0 here, the others on the workers.  Returns
+   the events run, or re-raises the lowest-index worker exception. *)
+let crew_window ?until c t ~horizon ~budget =
+  c.horizon <- horizon;
+  c.budget <- budget;
+  Atomic.set c.running (Array.length t.shards - 1);
+  Atomic.incr c.gen;
+  crew_notify c c.wake;
+  let sh0 = t.shards.(0) in
+  let e0 = Engine.run_window ?until ~max_events:budget ~horizon sh0.sh_engine in
+  let t0 = Unix.gettimeofday () in
+  crew_await c c.idle (fun () -> Atomic.get c.running = 0);
+  sh0.sh_wait <- sh0.sh_wait +. (Unix.gettimeofday () -. t0);
+  Array.iter
+    (Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt))
+    c.failed;
+  Array.fold_left ( + ) e0 c.executed
+
+(* Let an in-flight window finish, then stop and join every worker. *)
+let crew_stop c =
+  crew_await c c.idle (fun () -> Atomic.get c.running = 0);
+  c.stop <- true;
+  Atomic.incr c.gen;
+  crew_notify c c.wake;
+  List.iter Domain.join c.domains
+
 (* Parallel barrier executor.  Each iteration: find the global minimum
-   next-event time N, run every shard up to the horizon N + lookahead in
-   its own domain (cross-shard frames can only arrive at or after the
-   horizon, so the window is causally closed), then join, merge outboxes
-   and traces at the barrier, repeat. *)
+   next-event time N, run every shard up to the horizon N + lookahead
+   (cross-shard frames can only arrive at or after the horizon, so the
+   window is causally closed), then merge outboxes and traces at the
+   barrier, repeat.  Shard 0 runs on the calling domain, every other
+   shard on a worker of a pool that lives for this call only (see
+   [crew]): spawned at the first window that has work, so a run over
+   empty queues spawns nothing, and joined before the call returns,
+   whether it returns or raises.  A shard's exception is re-raised here
+   after the pool is joined; when several shards raise in one window,
+   the lowest shard index wins. *)
 let run_parallel ?until ?(max_events = 10_000_000) t =
   if t.fault_hook <> None then
     invalid_arg
@@ -1419,57 +1563,69 @@ let run_parallel ?until ?(max_events = 10_000_000) t =
      set_shards. *)
   let want = Trace.interested t.trace in
   Array.iter (fun sh -> Trace.set_enabled sh.sh_trace want) t.shards;
+  (* A frame sent from outside any event (before this run) waits in an
+     outbox; schedule it now, or a run over otherwise empty queues would
+     never see it. *)
+  drain_outboxes t ~horizon:neg_infinity;
   let wall0 = Unix.gettimeofday () in
   let cpu0 = Sys.time () in
   let budget = ref max_events in
+  let crew = ref None in
+  let pool () =
+    match !crew with
+    | Some c -> c
+    | None ->
+        let c = crew_create (Array.length t.shards) in
+        (* registered before spawning, so a failed spawn still joins the
+           workers spawned before it *)
+        crew := Some c;
+        for i = 1 to Array.length t.shards - 1 do
+          c.domains <-
+            Domain.spawn (crew_worker c ?until t.shards.(i)) :: c.domains
+        done;
+        c
+  in
   let continue = ref true in
-  while !continue && !budget > 0 do
-    let n =
-      Array.fold_left
-        (fun acc sh ->
-          match Engine.next_key sh.sh_engine with
-          | None -> acc
-          | Some (at, _) -> Float.min acc at)
-        infinity t.shards
-    in
-    if n = infinity then continue := false
-    else
-      match until with
-      | Some limit when n > limit ->
-          Array.iter
-            (fun sh ->
-              if limit > Engine.now sh.sh_engine then
-                Engine.set_now sh.sh_engine limit)
-            t.shards;
-          continue := false
-      | _ ->
-          let horizon = n +. t.lookahead in
-          let window_budget = !budget in
-          let domains =
-            Array.init
-              (Array.length t.shards - 1)
-              (fun i ->
-                let sh = t.shards.(i + 1) in
-                Domain.spawn (fun () ->
-                    Engine.run_window ?until ~max_events:window_budget ~horizon
-                      sh.sh_engine))
-          in
-          let e0 =
-            Engine.run_window ?until ~max_events:window_budget ~horizon
-              t.shards.(0).sh_engine
-          in
-          let executed =
-            Array.fold_left (fun acc d -> acc + Domain.join d) e0 domains
-          in
-          budget := !budget - executed;
-          drain_outboxes t ~horizon;
-          merge_shard_traces t;
-          if executed = 0 then
-            (* The shard owning the minimum event always makes progress
-               (its event is strictly inside the window); reaching here
-               means every queue head was beyond [until]. *)
-            continue := false
-  done;
+  Fun.protect
+    ~finally:(fun () -> Option.iter crew_stop !crew)
+    (fun () ->
+      while !continue && !budget > 0 do
+        let n =
+          Array.fold_left
+            (fun acc sh ->
+              match Engine.next_key sh.sh_engine with
+              | None -> acc
+              | Some (at, _) -> Float.min acc at)
+            infinity t.shards
+        in
+        if n = infinity then continue := false
+        else
+          match until with
+          | Some limit when n > limit ->
+              Array.iter
+                (fun sh ->
+                  if limit > Engine.now sh.sh_engine then
+                    Engine.set_now sh.sh_engine limit)
+                t.shards;
+              continue := false
+          | _ ->
+              let horizon = n +. t.lookahead in
+              let executed =
+                crew_window ?until (pool ()) t ~horizon ~budget:!budget
+              in
+              budget := !budget - executed;
+              t.windows <- t.windows + 1;
+              t.window_events <- t.window_events + executed;
+              if executed > t.max_window_events then
+                t.max_window_events <- executed;
+              drain_outboxes t ~horizon;
+              merge_shard_traces t;
+              if executed = 0 then
+                (* The shard owning the minimum event always makes progress
+                   (its event is strictly inside the window); reaching here
+                   means every queue head was beyond [until]. *)
+                continue := false
+      done);
   let still_pending =
     Array.exists (fun sh -> Engine.pending sh.sh_engine > 0) t.shards
   in
@@ -1502,6 +1658,23 @@ let run_parallel ?until ?(max_events = 10_000_000) t =
     ~wall:(Unix.gettimeofday () -. wall0)
     ~cpu:(Sys.time () -. cpu0);
   Engine.notify_observer t.engine
+
+type barrier_stats = {
+  windows : int;
+  window_events : int;
+  max_window_events : int;
+  barrier_wait : float array;
+  peak_outbox : int array array;
+}
+
+let barrier_stats (t : t) =
+  {
+    windows = t.windows;
+    window_events = t.window_events;
+    max_window_events = t.max_window_events;
+    barrier_wait = Array.map (fun sh -> sh.sh_wait) t.shards;
+    peak_outbox = Array.map (Array.map (fun ob -> ob.ob_peak)) t.outboxes;
+  }
 
 let run ?until ?max_events t =
   if Array.length t.shards = 1 then Engine.run ?until ?max_events t.engine

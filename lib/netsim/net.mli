@@ -87,30 +87,60 @@ val node_now : node -> float
       trace byte — is identical to the unsharded world.  Safe with every
       feature (faults, ICMP signaling, observers).
     - {e parallel} ([~parallel:true]): conservative barrier windows of
-      width [lookahead], one domain per shard per window.  Cross-shard
-      frames travel through bounded per-(src,dst) outboxes drained at
-      barriers in seeded deterministic order; per-shard traces are
-      buffered and merged by (time, shard) at each barrier, so runs
-      replay identically for a fixed shard count and seed (event order
-      may differ from the sequential schedule only in same-timestamp
-      interleavings across shards).  Parallel runs refuse fault hooks and
-      ICMP error signaling (call-order-dependent shared state), and
-      require agents to use per-node accessors ({!node_engine},
-      {!node_now}, {!new_flow_on}) rather than the world-level ones. *)
+      width [lookahead].  Each {!run} spawns one worker domain per shard
+      beyond the first, when its first window with work begins (a run
+      over empty queues spawns nothing), runs shard 0 on the calling
+      domain, and joins the workers before it returns.  A window is one
+      barrier: waiters spin briefly, then park (at once when there are
+      more shards than [Domain.recommended_domain_count ()]).  An
+      exception raised on any shard stops and joins the workers, then
+      {!run} re-raises it; when several shards raise in one window, the
+      lowest shard index wins.  Cross-shard frames travel through
+      bounded per-(src,dst) outboxes drained at barriers in seeded
+      deterministic order; per-shard traces are buffered and merged by
+      (time, shard) at each barrier, so runs replay identically for a
+      fixed shard count and seed (event order may differ from the
+      sequential schedule only in same-timestamp interleavings across
+      shards).  Parallel runs refuse fault hooks and ICMP error
+      signaling (call-order-dependent shared state), and require agents
+      to use per-node accessors ({!node_engine}, {!node_now},
+      {!new_flow_on}) rather than the world-level ones. *)
 
 val set_shards :
   ?parallel:bool -> ?seed:int -> ?same:(node * node) list -> t -> int -> unit
 (** Partition the world into at most [n] shards (fewer when the topology
     has fewer independent components; 1 collapses back to unsharded).
-    [seed] (default 0) controls the merge order of same-timestamp
-    cross-shard arrivals in parallel runs; [same] pins node pairs into
-    one shard (e.g. a mobile host with every router it will roam to).
+    [parallel] (default [false]) selects the parallel barrier executor;
+    it spawns no domain here — each {!run} brings up its own worker pool
+    and joins it before returning (see above).  [seed] (default 0)
+    controls the merge order of same-timestamp cross-shard arrivals in
+    parallel runs; [same] pins node pairs into one shard (e.g. a mobile
+    host with every router it will roam to).
     @raise Invalid_argument if [n < 1], if a previous shard still has
     pending events, or if [~parallel] and the primary engine is not
     idle, or the topology has a zero-latency or lossy cross-shard link. *)
 
 val shard_count : t -> int
 val parallel : t -> bool
+
+type barrier_stats = {
+  windows : int;  (** barrier windows run *)
+  window_events : int;  (** events run inside those windows, all shards *)
+  max_window_events : int;  (** the most events any one window ran *)
+  barrier_wait : float array;
+      (** per shard, seconds its domain spent spinning or parked at
+          barriers; the coordinator's entry is shard 0 *)
+  peak_outbox : int array array;
+      (** [.(src).(dst)]: the most cross-shard frames one window left in
+          that outbox *)
+}
+
+val barrier_stats : t -> barrier_stats
+(** Telemetry of the parallel executor, cumulative over every run since
+    the last {!set_shards}; all zero (and [peak_outbox] empty) on a
+    world that is not parallel.  Kept apart from {!stats}, so gathering
+    it costs two clock reads per shard per window and nothing per
+    event. *)
 
 val lookahead : t -> float
 (** Minimum latency over cross-shard links — the conservative window

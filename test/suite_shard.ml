@@ -141,7 +141,7 @@ let slot_of_seed hosts ~regions seed =
   if a == b then None
   else Some { a; a_addr; b; b_addr; budget = 1 + (s mod 3) }
 
-let install_pingpong net hosts slots =
+let install_pingpong ?(on_receive = ignore) net hosts slots =
   let nslots = Array.length slots in
   let recv_a = Array.make nslots 0 in
   let recv_b = Array.make nslots 0 in
@@ -153,6 +153,7 @@ let install_pingpong net hosts slots =
             (Ipv4_packet.Raw (Bytes.make 64 'p'))))
   in
   let handler node _iface (pkt : Ipv4_packet.t) =
+    on_receive node;
     let i = pkt.Ipv4_packet.ident in
     let s = slots.(i) in
     if node == s.b then begin
@@ -301,6 +302,31 @@ let test_parallel_tunnel_events_use_node_clock () =
   let tr2, _, _ = run () in
   Alcotest.(check bool) "same trace, record for record" true (tr1 = tr2)
 
+(* A frame sent from outside any event, before [Net.run], onto a link
+   that crosses the cut waits in an outbox: the run must still deliver
+   it. *)
+let test_parallel_send_before_run () =
+  let net, hosts = build_mini 2 in
+  Net.set_shards ~parallel:true net 2;
+  let node name = Option.get (Net.find_node net name) in
+  let hub_shard = Net.node_shard (node "hub") in
+  let far = if Net.node_shard (node "rr0") <> hub_shard then 0 else 1 in
+  let rr = node (Printf.sprintf "rr%d" far) in
+  Alcotest.(check bool) "the router's uplink crosses the cut" true
+    (Net.node_shard rr <> hub_shard);
+  let dst, dst_addr = hosts.(1 - far).(0) in
+  let got = ref 0 in
+  Net.set_protocol_handler dst proto (fun _ _ _ -> incr got);
+  let src =
+    Ipv4_addr.Prefix.host (prefix (Printf.sprintf "10.200.%d.0/30" far)) 2
+  in
+  ignore
+    (Net.send rr
+       (Ipv4_packet.make ~protocol:proto ~src ~dst:dst_addr
+          (Ipv4_packet.Raw (Bytes.make 64 'p'))));
+  Net.run net;
+  Alcotest.(check int) "delivered across the cut" 1 !got
+
 let test_cancellable_across_barriers () =
   (* A timer scheduled several conservative windows ahead must survive
      the barriers if left alone, and must never fire once cancelled —
@@ -338,6 +364,114 @@ let test_cancellable_across_barriers () =
     !fired_live;
   Alcotest.(check bool) "cancelled timer never fired" false !fired_cancelled;
   Alcotest.(check int) "other shard ran its ticks" 12 !ticks
+
+(* ------------------------------------------------------------------ *)
+(* The per-run worker pool                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A 2-shard parallel mini world: one ping-pong slot each way across the
+   cut plus one inside each region, so both shards send and receive on
+   every window. *)
+let two_shard_world ?on_receive () =
+  let net, hosts = build_mini 2 in
+  Net.set_shards ~parallel:true net 2;
+  let slot (a, a_addr) (b, b_addr) = { a; a_addr; b; b_addr; budget = 6 } in
+  let slots =
+    [|
+      slot hosts.(0).(0) hosts.(1).(0);
+      slot hosts.(1).(1) hosts.(0).(1);
+      slot hosts.(0).(1) hosts.(0).(0);
+      slot hosts.(1).(0) hosts.(1).(1);
+    |]
+  in
+  let recv_a, recv_b = install_pingpong ?on_receive net hosts slots in
+  let expected = Array.fold_left (fun acc s -> acc + (2 * s.budget)) 0 slots in
+  (net, hosts, recv_a, recv_b, expected)
+
+let delivered (recv_a, recv_b) =
+  Array.fold_left ( + ) 0 recv_a + Array.fold_left ( + ) 0 recv_b
+
+(* A raw handler on a host of shard [k] raises on its third receipt: the
+   run re-raises that exception, and a fresh parallel world built next in
+   this process still runs to completion (no domain left spinning or
+   parked holding the pool). *)
+let raise_on_shard k () =
+  let target = ref None and hits = ref 0 in
+  let on_receive node =
+    match !target with
+    | Some n when n == node ->
+        incr hits;
+        if !hits = 3 then failwith "boom"
+    | _ -> ()
+  in
+  let net, hosts, _, _, _ = two_shard_world ~on_receive () in
+  let all = Array.to_list (Array.concat (Array.to_list hosts)) in
+  target := Some (fst (List.find (fun (n, _) -> Net.node_shard n = k) all));
+  Alcotest.check_raises "Net.run re-raises the shard's exception"
+    (Failure "boom") (fun () -> Net.run net);
+  Alcotest.(check int) "raised on the third receipt" 3 !hits;
+  let net, _, recv_a, recv_b, expected = two_shard_world () in
+  Net.run net;
+  Alcotest.(check int) "a fresh world afterwards delivers everything"
+    expected (delivered (recv_a, recv_b))
+
+let test_worker_exception_propagates () = raise_on_shard 1 ()
+let test_coordinator_exception_propagates () = raise_on_shard 0 ()
+
+(* [Net.run ~until] in uneven slices — each slice spawning and retiring
+   its own workers, each ending on the [until] clamp — must equal one
+   run: the same per-slot deliveries, the same merged trace records and
+   the same final clock. *)
+let test_sliced_runs_equal_one_run () =
+  let net, _, recv_a, recv_b, expected = two_shard_world () in
+  Net.run net;
+  let whole = Trace.records (Net.trace net) and t_end = Net.now net in
+  Alcotest.(check int) "one run delivers everything" expected
+    (delivered (recv_a, recv_b));
+  let net', _, recv_a', recv_b', _ = two_shard_world () in
+  List.iter
+    (fun frac -> Net.run ~until:(frac *. t_end) net')
+    [ 0.03; 0.11; 0.12; 0.4; 0.55; 0.9; 3.0 ];
+  Alcotest.(check (array int)) "same initiator deliveries" recv_a recv_a';
+  Alcotest.(check (array int)) "same responder deliveries" recv_b recv_b';
+  Alcotest.(check bool) "trace non-empty" true (whole <> []);
+  Alcotest.(check bool) "same trace, record for record" true
+    (whole = Trace.records (Net.trace net'));
+  Alcotest.(check (float 0.0)) "same final clock" t_end (Net.now net')
+
+let test_max_events_truncates () =
+  let net, _, recv_a, recv_b, expected = two_shard_world () in
+  Net.run ~max_events:5 net;
+  Alcotest.(check int) "run marked truncated" 1
+    (Net.stats net).Engine.truncated;
+  Alcotest.(check bool) "work left over" true
+    (delivered (recv_a, recv_b) < expected);
+  Net.run net;
+  Alcotest.(check int) "a later run finishes the work" expected
+    (delivered (recv_a, recv_b))
+
+let test_barrier_stats () =
+  let net, _, _, _, _ = two_shard_world () in
+  Net.run net;
+  let bs = Net.barrier_stats net in
+  let st = Net.stats net in
+  Alcotest.(check bool) "windows counted" true (bs.Net.windows > 0);
+  Alcotest.(check int) "every event ran inside a window" st.Engine.executed
+    bs.Net.window_events;
+  Alcotest.(check bool) "max window within the total" true
+    (bs.Net.max_window_events > 0
+    && bs.Net.max_window_events <= bs.Net.window_events);
+  Alcotest.(check int) "one wait per shard" 2
+    (Array.length bs.Net.barrier_wait);
+  Alcotest.(check bool) "waits are non-negative" true
+    (Array.for_all (fun w -> w >= 0.0) bs.Net.barrier_wait);
+  Alcotest.(check bool) "frames crossed the cut both ways" true
+    (bs.Net.peak_outbox.(0).(1) > 0 && bs.Net.peak_outbox.(1).(0) > 0);
+  Alcotest.(check int) "no shard sends to itself" 0 bs.Net.peak_outbox.(0).(0);
+  let plain, _ = build_mini 2 in
+  Net.run plain;
+  Alcotest.(check int) "no windows on an unsharded world" 0
+    (Net.barrier_stats plain).Net.windows
 
 (* ------------------------------------------------------------------ *)
 (* Partition derivation and validation                                 *)
@@ -505,6 +639,20 @@ let suites =
           test_parallel_tunnel_events_use_node_clock;
         Alcotest.test_case "cancellable_after across barrier windows" `Quick
           test_cancellable_across_barriers;
+        Alcotest.test_case "a frame sent before the run crosses the cut"
+          `Quick test_parallel_send_before_run;
+      ] );
+    ( "shard.pool",
+      [
+        Alcotest.test_case "a worker's exception propagates, leaks nothing"
+          `Quick test_worker_exception_propagates;
+        Alcotest.test_case "shard 0's exception stops the workers" `Quick
+          test_coordinator_exception_propagates;
+        Alcotest.test_case "sliced runs equal one run" `Quick
+          test_sliced_runs_equal_one_run;
+        Alcotest.test_case "max_events truncates and returns" `Quick
+          test_max_events_truncates;
+        Alcotest.test_case "barrier telemetry" `Quick test_barrier_stats;
       ] );
     ( "shard.partition",
       [
