@@ -5,8 +5,9 @@
    EXPERIMENTS.md records.
 
    Part 2 runs Bechamel micro-benchmarks of the implementation itself:
-   wire codecs, encapsulation, routing lookup, grid selection, and a whole
-   simulated ping through the Mobile IP tunnel path. *)
+   wire codecs, encapsulation, routing lookup, grid selection, a whole
+   simulated ping through the Mobile IP tunnel path, and a 10k-host world
+   build. *)
 
 open Bechamel
 open Toolkit
@@ -249,6 +250,25 @@ let shard_pingpong ~parallel ~shards () =
   Netsim.Net.run net;
   assert (!got = 20)
 
+(* Population scale: hosts on segments of 250, each given its UDP
+   service.  Services live on their node and node names are looked up per
+   world, so the cost is linear in the host count. *)
+let world_build ~hosts () =
+  let net = Netsim.Net.create () in
+  let seg = ref (Netsim.Net.add_segment net ~name:"s0" ()) in
+  for i = 0 to hosts - 1 do
+    let s = i / 250 in
+    if i > 0 && i mod 250 = 0 then
+      seg := Netsim.Net.add_segment net ~name:(Printf.sprintf "s%d" s) ();
+    let h = Netsim.Net.add_host net (Printf.sprintf "h%d" i) in
+    let net_part = Printf.sprintf "10.%d.%d" (s / 256) (s mod 256) in
+    ignore
+      (Netsim.Net.attach h !seg ~ifname:"eth0"
+         ~addr:(addr (Printf.sprintf "%s.%d" net_part ((i mod 250) + 1)))
+         ~prefix:(Netsim.Ipv4_addr.Prefix.of_string (net_part ^ ".0/24")));
+    ignore (Transport.Udp_service.get h)
+  done
+
 let micro_tests =
   Test.make_grouped ~name:"mobility4x4"
     [
@@ -323,6 +343,8 @@ let micro_tests =
         (Staged.stage (tcp_transfer ~window:1));
       Test.make ~name:"sim-tcp-8KB-window-8"
         (Staged.stage (tcp_transfer ~window:8));
+      Test.make ~name:"world-build-10k-hosts"
+        (Staged.stage (world_build ~hosts:10_000));
     ]
 
 let run_micro ~quota () =

@@ -36,10 +36,3 @@ let equal = Int.equal
 let compare = Int.compare
 let hash = Hashtbl.hash
 let pp fmt x = Format.pp_print_string fmt (to_string x)
-
-let counter = ref 0
-
-let fresh () =
-  incr counter;
-  (* 0x02 prefix: locally administered, unicast. *)
-  (0x02 lsl 40) lor (!counter land 0xff_ffff_ffff)

@@ -1,8 +1,8 @@
 (** 48-bit link-layer (Ethernet) addresses.
 
-    The simulator assigns a fresh locally-administered MAC to every
-    interface attached to an Ethernet segment; ARP ({!Net}) maps IPv4
-    addresses onto these. *)
+    Each world ({!Net.t}) numbers its interfaces' locally-administered
+    MACs itself, so a world rebuilt in the same process gets the same
+    MACs; ARP ({!Net}) maps IPv4 addresses onto these. *)
 
 type t
 
@@ -21,6 +21,3 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
-
-val fresh : unit -> t
-(** A generator of distinct locally-administered unicast addresses. *)

@@ -27,11 +27,12 @@ type t = {
   engine : Engine.t;
   trace : Trace.t;
   mutable all_nodes : node list;
-  mutable node_count : int;
-      (* creation counter; nodes carry their index so the shard
-         partitioner orders components deterministically *)
+  by_name : (string, node) Hashtbl.t;
+      (* its size is the creation counter: nodes carry their index so the
+         shard partitioner orders components deterministically *)
   mutable next_frame : int;
   mutable next_flow : int;
+  mutable next_mac : int;  (* MACs are numbered per world *)
   mutable fault_hook :
     (link:string -> src:string -> dst:string -> fault_verdict) option;
   mutable icmp_errors : icmp_errors option;
@@ -99,7 +100,11 @@ and node = {
   arp_pending : pending Addr_map.t;
   reasm : Fragment.Reassembly.t;
   mutable option_penalty : float;
+  mutable services : service list;
+      (* at most one entry per key: the node's transport services *)
 }
+
+and service = Service : 'a Type.Id.t * 'a -> service
 
 and iface = {
   ifname : string;
@@ -188,9 +193,10 @@ let create () =
     engine;
     trace;
     all_nodes = [];
-    node_count = 0;
+    by_name = Hashtbl.create 64;
     next_frame = 0;
     next_flow = 0;
+    next_mac = 0;
     fault_hook = None;
     icmp_errors = None;
     shards = [| shard0 |];
@@ -240,14 +246,14 @@ let trace t = t.trace
 let now t = Engine.now t.engine
 
 let add_node t name router =
-  if List.exists (fun n -> n.name = name) t.all_nodes then
+  if Hashtbl.mem t.by_name name then
     invalid_arg (Printf.sprintf "Net: node %S already exists" name);
   let node =
     {
       name;
       router;
       net = t;
-      created = t.node_count;
+      created = Hashtbl.length t.by_name;
       shard = t.shards.(0);
       node_ifaces = [];
       table = Routing.create ();
@@ -261,15 +267,16 @@ let add_node t name router =
       arp_pending = Addr_map.create ~size:8 ();
       reasm = Fragment.Reassembly.create ();
       option_penalty = (if router then 0.001 else 0.0);
+      services = [];
     }
   in
-  t.node_count <- t.node_count + 1;
+  Hashtbl.replace t.by_name name node;
   t.all_nodes <- node :: t.all_nodes;
   node
 
 let add_host t name = add_node t name false
 let add_router t name = add_node t name true
-let find_node t name = List.find_opt (fun n -> n.name = name) t.all_nodes
+let find_node t name = Hashtbl.find_opt t.by_name name
 let node_name n = n.name
 let is_router n = n.router
 let nodes t = List.rev t.all_nodes
@@ -278,6 +285,20 @@ let node_engine n = n.shard.sh_engine
 let node_now n = Engine.now n.shard.sh_engine
 let node_pool n = n.shard.sh_pool
 let node_shard n = n.shard.sh_idx
+
+let service (type a) node (key : a Type.Id.t) create : a =
+  let rec find = function
+    | [] ->
+        let s = create node in
+        node.services <- Service (key, s) :: node.services;
+        s
+    | Service (k, s) :: rest -> (
+        match Type.Id.provably_equal k key with
+        | Some Type.Equal -> s
+        | None -> find rest)
+  in
+  find node.services
+
 let shard_count t = Array.length t.shards
 let parallel t = t.parallel
 let lookahead t = t.lookahead
@@ -318,25 +339,36 @@ let check_fresh_iface node ifname =
 let install_connected_route iface =
   Routing.add iface.owner.table ~prefix:iface.prefix ~iface:iface.ifname ()
 
-let attach node segment ~ifname ~addr ~prefix =
-  check_fresh_iface node ifname;
+(* A new interface on [node] with its connected route.  Its MAC is the
+   world's next one (0x02 prefix: locally administered, unicast). *)
+let add_iface node ~ifname ~addr ~prefix ~mtu attachment =
+  let t = node.net in
+  t.next_mac <- t.next_mac + 1;
+  let mac = (0x02 lsl 40) lor (t.next_mac land 0xff_ffff_ffff) in
   let iface =
     {
       ifname;
       owner = node;
-      mac = Mac_addr.fresh ();
+      mac = Mac_addr.of_int mac;
       addr;
       prefix;
-      mtu = segment.seg_mtu;
-      attachment = Seg segment;
+      mtu;
+      attachment;
       up = true;
       proxy = [];
       groups = [];
     }
   in
   node.node_ifaces <- node.node_ifaces @ [ iface ];
-  segment.members <- iface :: segment.members;
   install_connected_route iface;
+  iface
+
+let attach node segment ~ifname ~addr ~prefix =
+  check_fresh_iface node ifname;
+  let iface =
+    add_iface node ~ifname ~addr ~prefix ~mtu:segment.seg_mtu (Seg segment)
+  in
+  segment.members <- iface :: segment.members;
   iface
 
 let p2p t ?(latency = 0.010) ?bandwidth ?(mtu = 1500) ?loss ?loss_seed ~prefix
@@ -353,23 +385,8 @@ let p2p t ?(latency = 0.010) ?bandwidth ?(mtu = 1500) ?loss ?loss_seed ~prefix
     }
   in
   let mk node ifname addr =
-    let iface =
-      {
-        ifname;
-        owner = node;
-        mac = Mac_addr.fresh ();
-        addr;
-        prefix;
-        mtu;
-        attachment = Ptp link;
-        up = true;
-        proxy = [];
-        groups = [];
-      }
-    in
-    node.node_ifaces <- node.node_ifaces @ [ iface ];
+    let iface = add_iface node ~ifname ~addr ~prefix ~mtu (Ptp link) in
     link.ends <- link.ends @ [ iface ];
-    install_connected_route iface;
     iface
   in
   ignore t;
@@ -1203,7 +1220,7 @@ let set_shards ?(parallel = false) ?(seed = 0) ?(same = []) t n =
       if a.net != t || b.net != t then
         invalid_arg "Net.set_shards: ~same pair from a different net")
     same;
-  let count = t.node_count in
+  let count = Hashtbl.length t.by_name in
   let arr = Array.of_list (nodes t) in
   let parent = Array.init (max count 1) (fun i -> i) in
   merge_colocated parent arr ~same;

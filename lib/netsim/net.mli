@@ -149,6 +149,11 @@ val lookahead : t -> float
 val node_shard : node -> int
 (** Which shard the node lives on (0 on an unsharded world). *)
 
+val service : node -> 'a Type.Id.t -> (node -> 'a) -> 'a
+(** [service node key create] is the node's service under [key], made by
+    [create node] on the first call: one per key per node, living as long
+    as the node's world.  Each transport module keeps one key. *)
+
 val node_pool : node -> Pool.t
 (** The byte-buffer pool of the node's shard — workload generators
     allocate payloads here so capacity runs recycle buffers per shard. *)
@@ -174,8 +179,9 @@ val segment_mtu : segment -> int
 val attach :
   node -> segment -> ifname:string -> addr:Ipv4_addr.t ->
   prefix:Ipv4_addr.Prefix.t -> iface
-(** Create an interface with a fresh MAC on the segment and install the
-    connected route.
+(** Create an interface on the segment and install the connected route.
+    Its MAC is the world's next one, so rebuilding a world gives the same
+    MACs.
     @raise Invalid_argument if the node already has an interface with this
     name. *)
 

@@ -17,7 +17,7 @@ type t = {
   mutable answered : int;
 }
 
-let registry : (Net.node * t) list ref = ref []
+let key : t Type.Id.t = Type.Id.make ()
 
 let handle_icmp t node _in_iface (pkt : Ipv4_packet.t) =
   match pkt.payload with
@@ -53,23 +53,21 @@ let handle_icmp t node _in_iface (pkt : Ipv4_packet.t) =
       | Icmp_wire.Time_exceeded _ -> ())
   | _ -> ()
 
-let get node =
-  match List.find_opt (fun (n, _) -> n == node) !registry with
-  | Some (_, t) -> t
-  | None ->
-      let t =
-        {
-          svc_node = node;
-          pings = [];
-          next_ident = 1;
-          care_of_listener = None;
-          unreachable_listener = None;
-          answered = 0;
-        }
-      in
-      registry := (node, t) :: !registry;
-      Net.set_protocol_handler node Ipv4_packet.P_icmp (handle_icmp t);
-      t
+let create node =
+  let t =
+    {
+      svc_node = node;
+      pings = [];
+      next_ident = 1;
+      care_of_listener = None;
+      unreachable_listener = None;
+      answered = 0;
+    }
+  in
+  Net.set_protocol_handler node Ipv4_packet.P_icmp (handle_icmp t);
+  t
+
+let get node = Net.service node key create
 
 let node t = t.svc_node
 

@@ -10,6 +10,8 @@
 type t
 
 val get : Netsim.Net.node -> t
+(** The node's ICMP service: one service per node, owned by the node's world. *)
+
 val node : t -> Netsim.Net.node
 
 val ping :

@@ -73,7 +73,7 @@ and t = {
          exhausted — "gave up", as opposed to recovered or reset *)
 }
 
-let registry : (Net.node * t) list ref = ref []
+let key : t Type.Id.t = Type.Id.make ()
 
 let node t = t.tcp_node
 let set_feedback t f = t.feedback_cb <- f
@@ -405,24 +405,22 @@ let handle_tcp t _node _in_iface (pkt : Ipv4_packet.t) =
   | Ipv4_packet.Tcp tw -> demux t pkt tw
   | _ -> ()
 
-let get node =
-  match List.find_opt (fun (n, _) -> n == node) !registry with
-  | Some (_, t) -> t
-  | None ->
-      let t =
-        {
-          tcp_node = node;
-          conns = [];
-          listeners = Hashtbl.create 8;
-          next_iss = 100_000;
-          next_port = Well_known.ephemeral_base;
-          feedback_cb = None;
-          retx_aborts = 0;
-        }
-      in
-      registry := (node, t) :: !registry;
-      Net.set_protocol_handler node Ipv4_packet.P_tcp (handle_tcp t);
-      t
+let create node =
+  let t =
+    {
+      tcp_node = node;
+      conns = [];
+      listeners = Hashtbl.create 8;
+      next_iss = 100_000;
+      next_port = Well_known.ephemeral_base;
+      feedback_cb = None;
+      retx_aborts = 0;
+    }
+  in
+  Net.set_protocol_handler node Ipv4_packet.P_tcp (handle_tcp t);
+  t
+
+let get node = Net.service node key create
 
 let default_src node =
   match Net.ifaces node with

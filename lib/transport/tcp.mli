@@ -40,6 +40,8 @@ type feedback =
   | Segment_received of { peer : Netsim.Ipv4_addr.t; retransmission : bool }
 
 val get : Netsim.Net.node -> t
+(** The node's TCP service: one service per node, owned by the node's world. *)
+
 val node : t -> Netsim.Net.node
 
 val set_feedback : t -> (feedback -> unit) option -> unit

@@ -16,8 +16,7 @@ type t = {
   mutable next_ident : int;
 }
 
-(* One service per node, keyed by physical identity. *)
-let registry : (Net.node * t) list ref = ref []
+let key : t Type.Id.t = Type.Id.make ()
 
 let handle_udp t _node in_iface (pkt : Ipv4_packet.t) =
   match pkt.payload with
@@ -36,21 +35,19 @@ let handle_udp t _node in_iface (pkt : Ipv4_packet.t) =
             })
   | _ -> ()
 
-let get node =
-  match List.find_opt (fun (n, _) -> n == node) !registry with
-  | Some (_, t) -> t
-  | None ->
-      let t =
-        {
-          svc_node = node;
-          listeners = Hashtbl.create 8;
-          next_port = Well_known.ephemeral_base;
-          next_ident = 1;
-        }
-      in
-      registry := (node, t) :: !registry;
-      Net.set_protocol_handler node Ipv4_packet.P_udp (handle_udp t);
-      t
+let create node =
+  let t =
+    {
+      svc_node = node;
+      listeners = Hashtbl.create 8;
+      next_port = Well_known.ephemeral_base;
+      next_ident = 1;
+    }
+  in
+  Net.set_protocol_handler node Ipv4_packet.P_udp (handle_udp t);
+  t
+
+let get node = Net.service node key create
 
 let node t = t.svc_node
 let listen t ~port f = Hashtbl.replace t.listeners port f

@@ -11,7 +11,7 @@
 type t
 
 val get : Netsim.Net.node -> t
-(** The node's UDP service, installing the protocol handler on first call. *)
+(** The node's UDP service: one service per node, owned by the node's world. *)
 
 val node : t -> Netsim.Net.node
 

@@ -30,11 +30,23 @@ let test_mac_utilities () =
   let m = Mac_addr.of_string "02:00:00:00:ab:cd" in
   Alcotest.(check string) "roundtrip" "02:00:00:00:ab:cd" (Mac_addr.to_string m);
   Alcotest.(check bool) "broadcast" true (Mac_addr.is_broadcast Mac_addr.broadcast);
-  Alcotest.(check bool) "fresh are distinct" true
-    (not (Mac_addr.equal (Mac_addr.fresh ()) (Mac_addr.fresh ())));
   Alcotest.check_raises "bad string"
     (Invalid_argument "Mac_addr.of_string: \"zz:00:00:00:00:00\"") (fun () ->
       ignore (Mac_addr.of_string "zz:00:00:00:00:00"))
+
+(* MACs are numbered per world: distinct within one, and the same world
+   built again (after another was built) gets the same ones. *)
+let test_world_macs () =
+  let macs () =
+    let _, (_, i1), (_, i2), (_, i3) = lan_world () in
+    List.map
+      (fun i -> Mac_addr.to_string (Option.get (Net.iface_mac i)))
+      [ i1; i2; i3 ]
+  in
+  let first = macs () in
+  Alcotest.(check int) "distinct within a world" 3
+    (List.length (List.sort_uniq compare first));
+  Alcotest.(check (list string)) "same MACs on rebuild" first (macs ())
 
 let test_resolution_and_cache () =
   let net, (h1, _), (h2, i2), _ = lan_world () in
@@ -121,6 +133,8 @@ let suites =
     ( "arp",
       [
         Alcotest.test_case "mac utilities" `Quick test_mac_utilities;
+        Alcotest.test_case "world MACs: distinct, same on rebuild" `Quick
+          test_world_macs;
         Alcotest.test_case "resolution and caching" `Quick
           test_resolution_and_cache;
         Alcotest.test_case "unresolvable dropped" `Quick

@@ -220,9 +220,7 @@ let prop_seq_merge_deterministic =
 
 let test_seq_merge_topo_scenario () =
   (* The CLI path: a Topo world built with ?shards must replay the
-     unsharded world's trace byte for byte.  Static care-of attachment:
-     the DHCP exchange embeds interface MACs, which come from a global
-     counter and so differ between two builds in one process. *)
+     unsharded world's trace byte for byte. *)
   let run shards =
     let w = Scenarios.Topo.build ?shards () in
     Scenarios.Topo.roam_static w ();
@@ -234,6 +232,23 @@ let test_seq_merge_topo_scenario () =
   let sharded = run (Some 4) in
   Alcotest.(check bool) "trace non-empty" true (plain <> []);
   Alcotest.(check bool) "identical records" true (plain = sharded)
+
+(* Same seed, same trace bytes, however many worlds the process built
+   before: the cellular roam's DHCP request carries the interface MAC,
+   which each world numbers itself. *)
+let test_trace_independent_of_history () =
+  let lines () =
+    let w = Scenarios.Topo.build ~with_cellular:true () in
+    Scenarios.Topo.roam_cellular w ();
+    Scenarios.Topo.run w;
+    List.map Netobs.Export.line_of_record
+      (Trace.records (Net.trace w.Scenarios.Topo.net))
+  in
+  let first = lines () in
+  ignore (Scenarios.Topo.build ());
+  Alcotest.(check bool) "trace non-empty" true (first <> []);
+  Alcotest.(check (list string)) "same JSONL lines after another world" first
+    (lines ())
 
 (* ------------------------------------------------------------------ *)
 (* Parallel barrier executor                                           *)
@@ -628,6 +643,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_seq_merge_deterministic;
         Alcotest.test_case "Topo ?shards replays the scenario trace" `Quick
           test_seq_merge_topo_scenario;
+        Alcotest.test_case "trace bytes do not depend on earlier worlds"
+          `Quick test_trace_independent_of_history;
       ] );
     ( "shard.parallel",
       [

@@ -37,4 +37,5 @@ let () =
          Suite_recorder.suites;
          Suite_failover.suites;
          Suite_shard.suites;
+         Suite_world.suites;
        ])
