@@ -5,9 +5,9 @@
    EXPERIMENTS.md records.
 
    Part 2 runs Bechamel micro-benchmarks of the implementation itself:
-   wire codecs, encapsulation, routing lookup, grid selection, a whole
-   simulated ping through the Mobile IP tunnel path, and a 10k-host world
-   build. *)
+   wire codecs, encapsulation, routing lookup, grid selection, trace
+   recording and JSONL export, a whole simulated ping through the Mobile
+   IP tunnel path, and a 10k-host world build. *)
 
 open Bechamel
 open Toolkit
@@ -136,6 +136,35 @@ let sample_record =
 
 let recorder_note () =
   Netobs.Recorder.note (Lazy.force bench_recorder) sample_record
+
+(* The JSONL export's per-record cost: the records one 1400 B datagram
+   leaves on its way from the correspondent through the home agent's
+   IP-in-IP tunnel to the mobile host, captured once from the full world
+   and written one per run, cycling, to /dev/null. *)
+let tunneled_records =
+  lazy
+    (let topo = Scenarios.Topo.build () in
+     Scenarios.Topo.roam topo ();
+     let trace = Netsim.Net.trace topo.Scenarios.Topo.net in
+     Netsim.Trace.clear trace;
+     let mh = Transport.Udp_service.get topo.Scenarios.Topo.mh_node in
+     let got = ref false in
+     Transport.Udp_service.listen mh ~port:9 (fun _ _ -> got := true);
+     ignore
+       (Transport.Udp_service.send
+          (Transport.Udp_service.get topo.Scenarios.Topo.ch_node)
+          ~dst:topo.Scenarios.Topo.mh_home_addr ~src_port:5000 ~dst_port:9
+          (Bytes.make 1400 'd'));
+     Scenarios.Topo.run topo;
+     assert !got;
+     (Array.of_list (Netsim.Trace.records trace), open_out_bin "/dev/null"))
+
+let export_jsonl_record =
+  let i = ref 0 in
+  fun () ->
+    let records, oc = Lazy.force tunneled_records in
+    i := (!i + 1) mod Array.length records;
+    Netobs.Export.sink_to_channel oc records.(!i)
 
 let header_csum = Netsim.Ipv4_packet.header_checksum sample_packet
 
@@ -316,6 +345,7 @@ let micro_tests =
              for _ = 1 to 64 do
                recorder_note ()
              done));
+      Test.make ~name:"export-jsonl-record" (Staged.stage export_jsonl_record);
       Test.make ~name:"grid-best-cell-x64"
         (Staged.stage (fun () ->
              for _ = 1 to 64 do

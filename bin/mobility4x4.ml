@@ -717,11 +717,7 @@ let soak_cmd =
     let base = Filename.remove_extension path in
     let trace_path = base ^ ".trace.jsonl" in
     let oc = open_out trace_path in
-    List.iter
-      (fun r ->
-        output_string oc (Netobs.Export.line_of_record r);
-        output_char oc '\n')
-      tail;
+    ignore (Netobs.Export.write_records oc tail);
     close_out oc;
     let pcap_path = base ^ ".pcap" in
     ignore (Netobs.Pcap.write_file pcap_path tail);

@@ -42,8 +42,21 @@ let of_string s =
   | None -> invalid_arg (Printf.sprintf "Ipv4_addr.of_string: %S" s)
 
 let to_string x =
-  let a, b, c, d = to_octets x in
-  Printf.sprintf "%d.%d.%d.%d" a b c d
+  (* At most "255.255.255.255": 15 bytes. *)
+  let out = Bytes.create 15 in
+  let digit pos d = Bytes.set out pos (Char.unsafe_chr (48 + d)) in
+  let rec octet pos shift =
+    let v = Int32.to_int (Int32.shift_right_logical x shift) land 0xff in
+    let pos = if v >= 100 then (digit pos (v / 100); pos + 1) else pos in
+    let pos = if v >= 10 then (digit pos (v / 10 mod 10); pos + 1) else pos in
+    digit pos (v mod 10);
+    if shift = 0 then pos + 1
+    else begin
+      Bytes.set out (pos + 1) '.';
+      octet (pos + 2) (shift - 8)
+    end
+  in
+  Bytes.sub_string out 0 (octet 0 24)
 
 let compare (a : t) (b : t) =
   (* Unsigned 32-bit comparison: flip the sign bit. *)

@@ -27,30 +27,31 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The C primitive behind [Printf]'s [%g]: the same digits, without
+   interpreting a format string on every call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_to_string f =
   match Float.classify_float f with
   | Float.FP_nan | Float.FP_infinite -> "null" (* JSON has no non-finite *)
   | _ ->
       (* Shortest decimal that round-trips. *)
-      let s = Printf.sprintf "%.15g" f in
-      if float_of_string s = f then s
-      else
-        let s = Printf.sprintf "%.16g" f in
-        if float_of_string s = f then s else Printf.sprintf "%.17g" f
+      let s = format_float "%.15g" f in
+      let s =
+        if float_of_string s = f then s
+        else
+          let s = format_float "%.16g" f in
+          if float_of_string s = f then s else format_float "%.17g" f
+      in
+      (* Keep floats recognisable as floats on re-parse. *)
+      if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
+      else s ^ ".0"
 
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f ->
-      let s = float_to_string f in
-      Buffer.add_string buf s;
-      (* Keep floats recognisable as floats on re-parse. *)
-      if
-        s <> "null"
-        && not
-             (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s)
-      then Buffer.add_string buf ".0"
+  | Float f -> Buffer.add_string buf (float_to_string f)
   | String s -> escape_string buf s
   | List items ->
       Buffer.add_char buf '[';

@@ -25,6 +25,15 @@ val to_string : t -> string
 
 val to_buffer : Buffer.t -> t -> unit
 
+val float_to_string : float -> string
+(** The text {!to_string} writes for [Float f]: the shortest of
+    [%.15g]/[%.16g]/[%.17g] that round-trips, with [".0"] appended when
+    that has no ['.'] or exponent; ["null"] for NaN and infinities. *)
+
+val escape_string : Buffer.t -> string -> unit
+(** Append [s] as a JSON string literal, quotes included — what
+    {!to_buffer} writes for [String s]. *)
+
 val of_string : string -> (t, string) result
 (** Parse a single JSON value; trailing garbage is an error. *)
 

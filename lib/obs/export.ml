@@ -4,17 +4,22 @@ let ( let* ) = Result.bind
 
 (* ---------- hex ---------- *)
 
-let hex_digits = "0123456789abcdef"
+(* [hex_pairs.(c)] holds byte [c]'s two lowercase hex digits as one
+   little-endian 16-bit value, so a single [add_uint16_le] writes both. *)
+let hex_pairs =
+  let digit d = Char.code "0123456789abcdef".[d] in
+  Array.init 256 (fun c -> digit (c lsr 4) lor (digit (c land 15) lsl 8))
+
+let add_hex buf b =
+  for i = 0 to Bytes.length b - 1 do
+    Buffer.add_uint16_le buf
+      (Array.unsafe_get hex_pairs (Char.code (Bytes.unsafe_get b i)))
+  done
 
 let hex_of_bytes b =
-  let n = Bytes.length b in
-  let out = Bytes.create (2 * n) in
-  for i = 0 to n - 1 do
-    let c = Char.code (Bytes.get b i) in
-    Bytes.set out (2 * i) hex_digits.[c lsr 4];
-    Bytes.set out ((2 * i) + 1) hex_digits.[c land 15]
-  done;
-  Bytes.unsafe_to_string out
+  let buf = Buffer.create (2 * Bytes.length b) in
+  add_hex buf b;
+  Buffer.contents buf
 
 let bytes_of_hex s =
   let n = String.length s in
@@ -50,23 +55,28 @@ let req j name conv =
 
 (* ---------- drop reasons ---------- *)
 
-let drop_reason_fields = function
-  | Trace.Ingress_filter -> [ ("reason", Json.String "ingress-source-filter") ]
-  | Trace.Transit_filter -> [ ("reason", Json.String "transit-filter") ]
-  | Trace.Firewall s ->
-      [ ("reason", Json.String "firewall"); ("detail", Json.String s) ]
-  | Trace.Ttl_expired -> [ ("reason", Json.String "ttl-expired") ]
-  | Trace.No_route -> [ ("reason", Json.String "no-route") ]
-  | Trace.Mtu_exceeded -> [ ("reason", Json.String "mtu-exceeded") ]
-  | Trace.Arp_unresolved -> [ ("reason", Json.String "arp-unresolved") ]
-  | Trace.Not_for_me -> [ ("reason", Json.String "not-for-me") ]
-  | Trace.Link_down -> [ ("reason", Json.String "link-down") ]
-  | Trace.Link_loss -> [ ("reason", Json.String "link-loss") ]
-  | Trace.Link_flap -> [ ("reason", Json.String "link-flap") ]
-  | Trace.Partitioned -> [ ("reason", Json.String "partitioned") ]
-  | Trace.Reassembly_timeout -> [ ("reason", Json.String "reassembly-timeout") ]
-  | Trace.Custom s ->
-      [ ("reason", Json.String "custom"); ("detail", Json.String s) ]
+let reason_name = function
+  | Trace.Ingress_filter -> "ingress-source-filter"
+  | Trace.Transit_filter -> "transit-filter"
+  | Trace.Firewall _ -> "firewall"
+  | Trace.Ttl_expired -> "ttl-expired"
+  | Trace.No_route -> "no-route"
+  | Trace.Mtu_exceeded -> "mtu-exceeded"
+  | Trace.Arp_unresolved -> "arp-unresolved"
+  | Trace.Not_for_me -> "not-for-me"
+  | Trace.Link_down -> "link-down"
+  | Trace.Link_loss -> "link-loss"
+  | Trace.Link_flap -> "link-flap"
+  | Trace.Partitioned -> "partitioned"
+  | Trace.Reassembly_timeout -> "reassembly-timeout"
+  | Trace.Custom _ -> "custom"
+
+let drop_reason_fields reason =
+  ("reason", Json.String (reason_name reason))
+  ::
+  (match reason with
+  | Trace.Firewall s | Trace.Custom s -> [ ("detail", Json.String s) ]
+  | _ -> [])
 
 let drop_reason_of_json j =
   let* reason = req j "reason" Json.get_string in
@@ -94,20 +104,6 @@ let drop_reason_of_json j =
 
 (* ---------- frames ---------- *)
 
-let json_of_frame (f : Trace.frame_info) =
-  Json.Obj
-    [
-      ("id", Json.Int f.Trace.id);
-      ("flow", Json.Int f.Trace.flow);
-      ("src", Json.String (Ipv4_addr.to_string f.Trace.pkt.Ipv4_packet.src));
-      ("dst", Json.String (Ipv4_addr.to_string f.Trace.pkt.Ipv4_packet.dst));
-      ( "proto",
-        Json.Int
-          (Ipv4_packet.protocol_to_int f.Trace.pkt.Ipv4_packet.protocol) );
-      ("len", Json.Int (Ipv4_packet.byte_length f.Trace.pkt));
-      ("pkt", Json.String (hex_of_bytes (Ipv4_packet.encode f.Trace.pkt)));
-    ]
-
 let frame_of_json j =
   let* id = req j "id" Json.get_int in
   let* flow = req j "flow" Json.get_int in
@@ -117,52 +113,6 @@ let frame_of_json j =
   Ok { Trace.id; flow; pkt }
 
 (* ---------- records ---------- *)
-
-let json_of_record (r : Trace.record) =
-  let frame f = ("frame", json_of_frame f) in
-  let fields =
-    match r.Trace.event with
-    | Trace.Send { node; frame = f } ->
-        [ ("type", Json.String "send"); ("node", Json.String node); frame f ]
-    | Trace.Transmit { link; frame = f; bytes } ->
-        [
-          ("type", Json.String "transmit");
-          ("link", Json.String link);
-          ("bytes", Json.Int bytes);
-          frame f;
-        ]
-    | Trace.Forward { node; in_iface; out_iface; frame = f } ->
-        [
-          ("type", Json.String "forward");
-          ("node", Json.String node);
-          ("in", Json.String in_iface);
-          ("out", Json.String out_iface);
-          frame f;
-        ]
-    | Trace.Drop { node; reason; frame = f } ->
-        [ ("type", Json.String "drop"); ("node", Json.String node) ]
-        @ drop_reason_fields reason
-        @ [ frame f ]
-    | Trace.Deliver { node; frame = f } ->
-        [ ("type", Json.String "deliver"); ("node", Json.String node); frame f ]
-    | Trace.Encapsulate { node; frame = f } ->
-        [
-          ("type", Json.String "encapsulate");
-          ("node", Json.String node);
-          frame f;
-        ]
-    | Trace.Decapsulate { node; frame = f } ->
-        [
-          ("type", Json.String "decapsulate");
-          ("node", Json.String node);
-          frame f;
-        ]
-    | Trace.Icmp_error { node; reason; frame = f } ->
-        [ ("type", Json.String "icmp-error"); ("node", Json.String node) ]
-        @ drop_reason_fields reason
-        @ [ frame f ]
-  in
-  Json.Obj (("t", Json.Float r.Trace.time) :: fields)
 
 let record_of_json j =
   let* time = req j "t" Json.get_float in
@@ -216,17 +166,133 @@ let record_of_json j =
   in
   Ok { Trace.time; event }
 
-let line_of_record r = Json.to_string (json_of_record r)
+(* ---------- the JSONL writer ---------- *)
 
-let write_trace_jsonl oc trace =
-  let n = ref 0 in
-  List.iter
-    (fun r ->
-      output_string oc (line_of_record r);
-      output_char oc '\n';
-      incr n)
-    (Trace.records trace);
-  !n
+(* One record's line is appended straight into a buffer: keys and kind
+   tags are literals, numbers are written as ints, only names and drop
+   details go through the JSON string escaper, and the packet's wire
+   bytes are hex-encoded in place. *)
+
+(* Per-domain scratch, reused by every call on that domain.  [buf] is
+   cleared before each line, so it never carries a record over; the
+   memo holds the text of the last timestamp, keyed on its bits (so
+   [-0.0] and [0.0] stay distinct) — consecutive records often share a
+   time.  Nothing is keyed on packet identity: [Pool] refills payload
+   bytes in place. *)
+type scratch = {
+  buf : Buffer.t;
+  mutable time_bits : int64;
+  mutable time_text : string;
+}
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      {
+        buf = Buffer.create 4096;
+        time_bits = Int64.bits_of_float 0.0;
+        time_text = Json.float_to_string 0.0;
+      })
+
+let add_time s t =
+  let bits = Int64.bits_of_float t in
+  if not (Int64.equal bits s.time_bits) then begin
+    s.time_bits <- bits;
+    s.time_text <- Json.float_to_string t
+  end;
+  Buffer.add_string s.buf s.time_text
+
+let add_int buf i = Buffer.add_string buf (string_of_int i)
+
+(* [add_field buf prefix v]: a literal [,"key":] then [v] as a string. *)
+let add_field buf prefix v =
+  Buffer.add_string buf prefix;
+  Json.escape_string buf v
+
+let add_reason buf reason =
+  Buffer.add_string buf ",\"reason\":\"";
+  Buffer.add_string buf (reason_name reason);
+  Buffer.add_char buf '"';
+  match reason with
+  | Trace.Firewall s | Trace.Custom s -> add_field buf ",\"detail\":" s
+  | _ -> ()
+
+let add_frame buf (f : Trace.frame_info) =
+  let p = f.Trace.pkt in
+  Buffer.add_string buf ",\"frame\":{\"id\":";
+  add_int buf f.Trace.id;
+  Buffer.add_string buf ",\"flow\":";
+  add_int buf f.Trace.flow;
+  Buffer.add_string buf ",\"src\":\"";
+  Buffer.add_string buf (Ipv4_addr.to_string p.Ipv4_packet.src);
+  Buffer.add_string buf "\",\"dst\":\"";
+  Buffer.add_string buf (Ipv4_addr.to_string p.Ipv4_packet.dst);
+  Buffer.add_string buf "\",\"proto\":";
+  add_int buf (Ipv4_packet.protocol_to_int p.Ipv4_packet.protocol);
+  Buffer.add_string buf ",\"len\":";
+  add_int buf (Ipv4_packet.byte_length p);
+  Buffer.add_string buf ",\"pkt\":\"";
+  add_hex buf (Ipv4_packet.encode p);
+  Buffer.add_string buf "\"}"
+
+let add_record s (r : Trace.record) =
+  let buf = s.buf in
+  Buffer.add_string buf "{\"t\":";
+  add_time s r.Trace.time;
+  let frame =
+    match r.Trace.event with
+    | Trace.Send { node; frame } ->
+        add_field buf ",\"type\":\"send\",\"node\":" node;
+        frame
+    | Trace.Transmit { link; frame; bytes } ->
+        add_field buf ",\"type\":\"transmit\",\"link\":" link;
+        Buffer.add_string buf ",\"bytes\":";
+        add_int buf bytes;
+        frame
+    | Trace.Forward { node; in_iface; out_iface; frame } ->
+        add_field buf ",\"type\":\"forward\",\"node\":" node;
+        add_field buf ",\"in\":" in_iface;
+        add_field buf ",\"out\":" out_iface;
+        frame
+    | Trace.Drop { node; reason; frame } ->
+        add_field buf ",\"type\":\"drop\",\"node\":" node;
+        add_reason buf reason;
+        frame
+    | Trace.Deliver { node; frame } ->
+        add_field buf ",\"type\":\"deliver\",\"node\":" node;
+        frame
+    | Trace.Encapsulate { node; frame } ->
+        add_field buf ",\"type\":\"encapsulate\",\"node\":" node;
+        frame
+    | Trace.Decapsulate { node; frame } ->
+        add_field buf ",\"type\":\"decapsulate\",\"node\":" node;
+        frame
+    | Trace.Icmp_error { node; reason; frame } ->
+        add_field buf ",\"type\":\"icmp-error\",\"node\":" node;
+        add_reason buf reason;
+        frame
+  in
+  add_frame buf frame;
+  Buffer.add_char buf '}'
+
+(* The scratch buffer holding exactly [r]'s line. *)
+let line_buffer r =
+  let s = Domain.DLS.get scratch in
+  Buffer.clear s.buf;
+  add_record s r;
+  s.buf
+
+let line_of_record r = Buffer.contents (line_buffer r)
+
+let sink_to_channel oc r =
+  let buf = line_buffer r in
+  Buffer.add_char buf '\n';
+  Buffer.output_buffer oc buf
+
+let write_records oc rs =
+  List.iter (sink_to_channel oc) rs;
+  List.length rs
+
+let write_trace_jsonl oc trace = write_records oc (Trace.records trace)
 
 let read_trace_jsonl ic =
   let rec go acc lineno =
@@ -242,10 +308,6 @@ let read_trace_jsonl ic =
             | Ok r -> go (r :: acc) (lineno + 1)))
   in
   go [] 1
-
-let sink_to_channel oc r =
-  output_string oc (line_of_record r);
-  output_char oc '\n'
 
 (* ---------- spans and engine stats ---------- *)
 

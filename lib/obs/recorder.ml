@@ -41,11 +41,4 @@ let tail ?last t =
         let n = List.length rs in
         if n <= k then rs else List.filteri (fun i _ -> i >= n - k) rs
 
-let dump_jsonl oc t =
-  let rs = records t in
-  List.iter
-    (fun r ->
-      output_string oc (Export.line_of_record r);
-      output_char oc '\n')
-    rs;
-  List.length rs
+let dump_jsonl oc t = Export.write_records oc (records t)

@@ -130,6 +130,21 @@ let arb_addr =
     (fun (a, b, c, d) -> Ipv4_addr.of_octets a b c d)
     QCheck.(quad (0 -- 255) (0 -- 255) (0 -- 255) (0 -- 255))
 
+(* Octets biased towards the digit-count boundaries. *)
+let arb_edge_addr =
+  let octet = QCheck.Gen.(oneof [ oneofl [ 0; 1; 9; 10; 99; 100; 255 ]; int_bound 255 ]) in
+  QCheck.make ~print:Ipv4_addr.to_string
+    QCheck.Gen.(
+      map
+        (fun (a, b, c, d) -> Ipv4_addr.of_octets a b c d)
+        (quad octet octet octet octet))
+
+let prop_to_string_printf =
+  QCheck.Test.make ~name:"addr to_string = Printf dotted quad" ~count:1000
+    arb_edge_addr (fun a ->
+      let w, x, y, z = Ipv4_addr.to_octets a in
+      Ipv4_addr.to_string a = Printf.sprintf "%d.%d.%d.%d" w x y z)
+
 let prop_parse_roundtrip =
   QCheck.Test.make ~name:"addr to_string/of_string roundtrip" ~count:500
     arb_addr (fun a ->
@@ -183,6 +198,7 @@ let suites =
         Alcotest.test_case "prefix parse rejects" `Quick
           test_prefix_parse_rejects;
         QCheck_alcotest.to_alcotest prop_parse_roundtrip;
+        QCheck_alcotest.to_alcotest prop_to_string_printf;
         QCheck_alcotest.to_alcotest prop_prefix_mem_network;
         QCheck_alcotest.to_alcotest prop_prefix_subset_reflexive;
         QCheck_alcotest.to_alcotest prop_compare_antisym;

@@ -116,6 +116,45 @@ let test_json_whitespace () =
                  Netobs.Json.String "x\n" ]))
   | Error e -> Alcotest.failf "parse failed: %s" e
 
+(* The float printer before it called the C primitive directly. *)
+let printf_float_to_string f =
+  match Float.classify_float f with
+  | Float.FP_nan | Float.FP_infinite -> "null"
+  | _ ->
+      let s = Printf.sprintf "%.15g" f in
+      let s =
+        if float_of_string s = f then s
+        else
+          let s = Printf.sprintf "%.16g" f in
+          if float_of_string s = f then s else Printf.sprintf "%.17g" f
+      in
+      if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
+      else s ^ ".0"
+
+let float_edges =
+  [
+    0.0; -0.0; 1.0; -1.0; 0.1; 1.0 /. 3.0; 0.1 +. 0.2; 5e-324; -5e-324;
+    2.2250738585072014e-308; 1e300; -1e300; Float.max_float; Float.min_float;
+    Float.epsilon; 1e21; 1e-7; 123456789012345.0; 9007199254740993.0;
+    Float.nan; Float.infinity; Float.neg_infinity;
+  ]
+
+let prop_float_printf =
+  QCheck.Test.make ~name:"json float = Printf %.15g/16g/17g form" ~count:2000
+    QCheck.(
+      make ~print:string_of_float
+        Gen.(
+          oneof
+            [
+              oneofl float_edges;
+              float;
+              map Int64.float_of_bits int64;
+              map (fun n -> float_of_int n /. 1000.) int;
+            ]))
+    (fun f ->
+      Netsim.Json.float_to_string f = printf_float_to_string f
+      && Netobs.Json.to_string (Netobs.Json.Float f) = printf_float_to_string f)
+
 (* ---------- hex ---------- *)
 
 let test_hex_known_vectors () =
@@ -194,6 +233,51 @@ let test_event_json_roundtrip () =
                 (Printf.sprintf "round trip at t=%g" r.Trace.time)
                 true (r = r')))
     (Trace.records (sample_trace ()))
+
+let prop_event_json_roundtrip =
+  QCheck.Test.make ~name:"trace event jsonl round trip, random shapes"
+    ~count:300
+    (QCheck.make
+       ~print:(fun r -> Netobs.Export.line_of_record r)
+       Trace_shapes.gen)
+    (fun r ->
+      let line = Netobs.Export.line_of_record r in
+      match Netobs.Json.of_string line with
+      | Error e -> QCheck.Test.fail_reportf "line does not parse: %s" e
+      | Ok j -> (
+          match Netobs.Export.record_of_json j with
+          | Error e -> QCheck.Test.fail_reportf "record does not rebuild: %s" e
+          | Ok r' -> r = r' && Netobs.Export.line_of_record r' = line))
+
+(* test/trace_golden.jsonl is what the tree-building serialiser (a
+   [Json.t] per record, then [Json.to_string]) wrote for
+   [Trace_shapes.golden]; the streaming writer must reproduce it byte for
+   byte, through both entry points. *)
+let test_golden_jsonl () =
+  let expected =
+    In_channel.with_open_bin "trace_golden.jsonl" In_channel.input_all
+  in
+  let records = Trace_shapes.golden () in
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' expected) in
+  Alcotest.(check int) "fixture lines" (List.length records) (List.length lines);
+  List.iteri
+    (fun i (line, r) ->
+      Alcotest.(check string)
+        (Printf.sprintf "line %d" (i + 1))
+        line
+        (Netobs.Export.line_of_record r))
+    (List.combine lines records);
+  let file = Filename.temp_file "mobility4x4" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let written =
+        Out_channel.with_open_bin file (fun oc ->
+            Netobs.Export.write_records oc records)
+      in
+      Alcotest.(check int) "one line per record" (List.length records) written;
+      Alcotest.(check string) "write_records bytes" expected
+        (In_channel.with_open_bin file In_channel.input_all))
 
 (* ---------- the per-flow trace index ---------- *)
 
@@ -315,10 +399,13 @@ let suites =
         Alcotest.test_case "json round trip" `Quick test_json_roundtrip;
         Alcotest.test_case "json errors" `Quick test_json_errors;
         Alcotest.test_case "json whitespace" `Quick test_json_whitespace;
+        QCheck_alcotest.to_alcotest prop_float_printf;
         Alcotest.test_case "hex known vectors" `Quick test_hex_known_vectors;
         QCheck_alcotest.to_alcotest prop_hex_round_trip;
         Alcotest.test_case "trace event jsonl round trip" `Quick
           test_event_json_roundtrip;
+        QCheck_alcotest.to_alcotest prop_event_json_roundtrip;
+        Alcotest.test_case "trace jsonl golden bytes" `Quick test_golden_jsonl;
         Alcotest.test_case "per-flow index" `Quick test_flow_index;
         Alcotest.test_case "trace sink" `Quick test_trace_sink;
         Alcotest.test_case "flow span" `Quick test_span;
